@@ -13,7 +13,7 @@ from .boxes import (
     q_reduce,
     twisted_sectors,
 )
-from .cones import Cone, cone_equal, dual_cone, intersect
+from .cones import Cone, intersect
 from .fan import (
     AbelianGroupSpec,
     CheckResult,

@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .boxes import BoxElement, enumerate_box, twisted_sectors
+from .boxes import enumerate_box, twisted_sectors
+from .cones import Cone
 from .fan import NElement, StackyFan, validate
 from .fan import ray_data as fan_ray_data
 from .fanfile import FanFileError, fraction_json, load_fan
@@ -25,7 +26,6 @@ from .orbcones import (
     mov_cone,
     one_ps_class,
     peff_generators,
-    restricted_functionals,
     sector_index,
     verify_duality,
 )
@@ -71,23 +71,29 @@ def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
             print(line)
 
 
-def _sector_label(sectors: Sequence[BoxElement], element: BoxElement,
-                  n: int, labels: Sequence[str]) -> Optional[str]:
-    if element.is_untwisted:
-        return None
-    return labels[n + sector_index(sectors, element)]
+class _InvalidFan(Exception):
+    """The fan failed validation; the error line is already on stderr."""
 
 
-def _load_and_validate(path: str, as_json: bool, need_valid: bool = True):
-    """Returns (fan, report, exit_code_or_None)."""
+def _load_valid_fan(path: str) -> StackyFan:
     fan = load_fan(path)
     report = validate(fan)
-    if need_valid and not report.ok:
+    if not report.ok:
         failed = [c.name for c in report.checks if not c.passed]
         print(f"error: fan '{fan.name}' fails validation: {', '.join(failed)}",
               file=sys.stderr)
-        return fan, report, EXIT_VALIDATION
-    return fan, report, None
+        raise _InvalidFan
+    return fan
+
+
+def _sectors_and_spaces(fan: StackyFan):
+    sectors = twisted_sectors(fan)
+    return sectors, build_spaces(fan, sectors)
+
+
+def _spaces_and_xi(fan: StackyFan):
+    sectors, spaces = _sectors_and_spaces(fan)
+    return spaces, build_xi(fan, sectors, spaces)  # dual-basis identity asserted inside
 
 
 def cmd_validate(args) -> int:
@@ -104,9 +110,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rays(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
+    fan = _load_valid_fan(args.file)
     rd = fan_ray_data(fan)
     labels = eta_labels(len(rd), 0)
     doc = {
@@ -124,61 +128,57 @@ def cmd_rays(args) -> int:
     return EXIT_OK
 
 
-def _box_entry_json(element, sectors, n, labels, ray_labels):
+def _box_entry_json(element, sector_label, labels):
     return {
         "rig": _int_vec_json(element.rig),
         "torsion": _int_vec_json(element.torsion),
-        "coeffs": [{"ray": i, "label": ray_labels[i], "value": fraction_json(a)}
+        "coeffs": [{"ray": i, "label": labels[i], "value": fraction_json(a)}
                    for i, a in element.coeffs.items()],
         "untwisted": element.is_untwisted,
-        "label": _sector_label(sectors, element, n, labels),
+        "label": sector_label,
     }
 
 
 def cmd_box(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
+    fan = _load_valid_fan(args.file)
     box = enumerate_box(fan)
-    sectors = [e for e in box if not e.is_untwisted]
-    n = fan.n_rays
-    labels = eta_labels(n, len(sectors))
+    t = sum(not e.is_untwisted for e in box)
+    labels = eta_labels(fan.n_rays, t)
+    # twisted elements appear in the canonical sector order
+    sector_labels = iter(labels[fan.n_rays:])
+    box_labels = [None if e.is_untwisted else next(sector_labels) for e in box]
     doc = {
         "fan": fan.name,
-        "box": [_box_entry_json(e, sectors, n, labels, labels) for e in box],
-        "twisted_count": len(sectors),
+        "box": [_box_entry_json(e, label, labels) for e, label in zip(box, box_labels)],
+        "twisted_count": t,
     }
     lines = [f"fan: {fan.name}"]
-    if not sectors:
+    if not t:
         lines.append("Box = {0}; no twisted sectors")
     else:
-        for k, e in enumerate(box):
-            tag = "untwisted" if e.is_untwisted else \
-                f"sector={_sector_label(sectors, e, n, labels)}"
+        for k, (e, label) in enumerate(zip(box, box_labels)):
+            tag = "untwisted" if label is None else f"sector={label}"
             lines.append(f"box[{k}]: rig={_fmt_vec(e.rig)} torsion={_fmt_vec(e.torsion)}"
                          f" a={_fmt_coeffs(e.coeffs, labels)} {tag}")
-        lines.append(f"twisted sectors: {len(sectors)}")
+        lines.append(f"twisted sectors: {t}")
     _emit(doc, args.json, lines)
     return EXIT_OK
 
 
 def cmd_sectors(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
+    fan = _load_valid_fan(args.file)
     sectors = twisted_sectors(fan)
-    n = fan.n_rays
-    labels = eta_labels(n, len(sectors))
+    labels = eta_labels(fan.n_rays, len(sectors))
+    sector_labels = labels[fan.n_rays:]
     doc = {
         "fan": fan.name,
-        "sectors": [_box_entry_json(e, sectors, n, labels, labels)
-                    for e in sectors],
+        "sectors": [_box_entry_json(e, label, labels)
+                    for e, label in zip(sectors, sector_labels)],
     }
     lines = [f"fan: {fan.name}"]
     if not sectors:
         lines.append("no twisted sectors")
-    for e in sectors:
-        label = _sector_label(sectors, e, n, labels)
+    for e, label in zip(sectors, sector_labels):
         lines.append(f"{label}: rig={_fmt_vec(e.rig)} torsion={_fmt_vec(e.torsion)}"
                      f" a={_fmt_coeffs(e.coeffs, labels)}")
     _emit(doc, args.json, lines)
@@ -186,11 +186,8 @@ def cmd_sectors(args) -> int:
 
 
 def cmd_ns(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
-    sectors = twisted_sectors(fan)
-    spaces = build_spaces(fan, sectors)
+    fan = _load_valid_fan(args.file)
+    _, spaces = _sectors_and_spaces(fan)
     classes = [ray_divisor_classes(spaces, i) for i in range(spaces.n)]
     doc = {
         "fan": fan.name,
@@ -220,12 +217,8 @@ def cmd_ns(args) -> int:
 
 
 def cmd_xi(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
-    sectors = twisted_sectors(fan)
-    spaces = build_spaces(fan, sectors)
-    xi = build_xi(fan, sectors, spaces)  # dual-basis identity asserted inside
+    fan = _load_valid_fan(args.file)
+    _, xi = _spaces_and_xi(fan)
     doc = {
         "fan": fan.name,
         "labels": list(xi.labels),
@@ -244,12 +237,8 @@ def cmd_xi(args) -> int:
 
 
 def cmd_mov(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
-    sectors = twisted_sectors(fan)
-    spaces = build_spaces(fan, sectors)
-    xi = build_xi(fan, sectors, spaces)
+    fan = _load_valid_fan(args.file)
+    spaces, xi = _spaces_and_xi(fan)
     mov = mov_cone(spaces, xi)
     doc = {
         "fan": fan.name,
@@ -266,15 +255,9 @@ def cmd_mov(args) -> int:
 
 
 def cmd_peff(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
-    sectors = twisted_sectors(fan)
-    spaces = build_spaces(fan, sectors)
-    xi = build_xi(fan, sectors, spaces)
+    fan = _load_valid_fan(args.file)
+    spaces, xi = _spaces_and_xi(fan)
     classes = peff_generators(spaces, xi)
-    from .cones import Cone
-
     cone = Cone(spaces.dim_ns_orb, [c.pairing for c in classes])
     extremal = cone.canonical_generators()
     doc = {
@@ -297,9 +280,7 @@ def cmd_peff(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
+    fan = _load_valid_fan(args.file)
     report = verify_duality(fan)
     doc = {
         "fan": fan.name,
@@ -356,16 +337,13 @@ def _parse_b(text: str, fan: StackyFan) -> NElement:
 
 
 def cmd_class_of_1ps(args) -> int:
-    fan, _, err = _load_and_validate(args.file, args.json)
-    if err:
-        return err
+    fan = _load_valid_fan(args.file)
     try:
         b = _parse_b(args.b, fan)
     except ValueError as parse_err:
         print(f"error: {parse_err}", file=sys.stderr)
         return EXIT_USAGE
-    sectors = twisted_sectors(fan)
-    spaces = build_spaces(fan, sectors)
+    sectors, spaces = _sectors_and_spaces(fan)
     cls = one_ps_class(fan, sectors, spaces, b)
     sec_idx = None if cls.sector.is_untwisted else sector_index(sectors, cls.sector)
     class_terms = []
@@ -441,6 +419,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FanFileError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except _InvalidFan:
+        return EXIT_VALIDATION
 
 
 def entrypoint() -> None:

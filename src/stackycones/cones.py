@@ -12,7 +12,7 @@ they are stable across runs and usable in golden files.
 from __future__ import annotations
 
 import operator
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linalg import (
     Number,
@@ -21,7 +21,6 @@ from .linalg import (
     is_zero_vec,
     kernel_basis,
     primitive_direction,
-    rank,
     rref,
     unit_vector,
     vneg,
@@ -239,14 +238,6 @@ class Cone:
 
     def is_zero_cone(self) -> bool:
         return not self.generators
-
-
-def dual_cone(cone: Cone) -> Cone:
-    return cone.dual()
-
-
-def cone_equal(a: Cone, b: Cone) -> bool:
-    return a.equals(b)
 
 
 def intersect(a: Cone, b: Cone) -> Cone:

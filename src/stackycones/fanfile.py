@@ -97,11 +97,11 @@ def fan_to_dict(fan: StackyFan) -> dict:
 def load_fan(path: Union[str, Path]) -> StackyFan:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise FanFileError(f"cannot read {path}: {err}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise FanFileError(f"{path} is not valid JSON: {err}") from None
     fan = fan_from_dict(doc)
     if not fan.name:

@@ -102,29 +102,38 @@ def canonical_line_direction(v: Sequence[Number]) -> IntVec:
     raise ValueError("zero vector has no direction")
 
 
-def _int_rows(rows: Sequence[Sequence[Number]]) -> list[list[int]]:
-    # Row scaling (by positive numbers) preserves rank and pivot structure.
+def _int_rows(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], int]:
+    # Row scaling (by positive numbers) preserves rank and pivot structure;
+    # the product of the scale factors is returned for det.
     out = []
+    scale = 1
     for row in rows:
         fracs = [Fraction(a) for a in row]
         mul = lcm(*(f.denominator for f in fracs))
+        scale *= mul
         out.append([int(f * mul) for f in fracs])
-    return out
+    return out, scale
 
 
-def rank(rows: Sequence[Sequence[Number]]) -> int:
-    """Rank of a rational matrix, by fraction-free (Bareiss) elimination."""
-    m = _int_rows(rows)
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns (rank, sign of the row permutation).  On a nonsingular square
+    matrix the last diagonal entry ends as sign * determinant.
+    """
     if not m or not m[0]:
-        return 0
+        return 0, 1
     nrows, ncols = len(m), len(m[0])
     r = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             mi, mr = m[i], m[r]
             f = mi[col]
@@ -135,7 +144,12 @@ def rank(rows: Sequence[Sequence[Number]]) -> int:
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign
+
+
+def rank(rows: Sequence[Sequence[Number]]) -> int:
+    """Rank of a rational matrix, by fraction-free (Bareiss) elimination."""
+    return _bareiss(_int_rows(rows)[0])[0]
 
 
 def det(rows: Sequence[Sequence[Number]]) -> Fraction:
@@ -145,30 +159,11 @@ def det(rows: Sequence[Sequence[Number]]) -> Fraction:
         raise ValueError("det of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        fracs = [Fraction(a) for a in row]
-        mul = lcm(*(f.denominator for f in fracs))
-        scale *= mul
-        m.append([int(f * mul) for f in fracs])
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            mi, mc = m[i], m[col]
-            f = mi[col]
-            for j in range(col + 1, n):
-                mi[j] = (mi[j] * mc[col] - f * mc[j]) // prev
-            mi[col] = 0
-        prev = m[col][col]
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    m, scale = _int_rows(rows)
+    r, sign = _bareiss(m)
+    if r < n:
+        return Fraction(0)
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def rref(rows: Sequence[Sequence[Number]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -231,19 +226,10 @@ def solve_square(rows: Sequence[Sequence[Number]], y: Sequence[Number]) -> Optio
         raise ValueError("solve_square needs a square matrix")
     if len(y) != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has length {len(y)}")
-    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, y)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(row[n] for row in aug)
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, y)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n] for row in reduced)
 
 
 def inverse(rows: Sequence[Sequence[Number]]) -> Optional[Matrix]:
@@ -251,17 +237,8 @@ def inverse(rows: Sequence[Sequence[Number]]) -> Optional[Matrix]:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse needs a square matrix")
-    aug = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in reduced)

@@ -156,7 +156,7 @@ def curve_class_to_v_orb(spaces: AmbientSpaces, curve: OrbCurveClass) -> RatVec:
 
 def curve_class_from_v_orb(spaces: AmbientSpaces, v: Sequence[Number]) -> OrbCurveClass:
     """Coordinates of a V_orb vector lying in the kernel of beta'_orb."""
-    from .linalg import solve_square, transpose
+    from .linalg import solve_square
 
     if len(v) != spaces.n + spaces.t:
         raise ValueError("dimension mismatch")

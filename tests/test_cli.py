@@ -5,7 +5,7 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
-from conftest import fixture_path
+from conftest import REPO_ROOT, fixture_path
 
 from stackycones.cli import main
 
@@ -167,6 +167,6 @@ def test_rays_and_sectors_and_mov_and_peff_run_everywhere():
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "stackycones", "verify", FOOTBALL],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=REPO_ROOT / "src")
     assert proc.returncode == 0
     assert "theorem verification: PASS" in proc.stdout

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stackycones.cones import Cone, cone_equal, intersect
+from stackycones.cones import Cone, intersect
 from stackycones.linalg import dot
 
 
@@ -55,8 +55,8 @@ def test_generators_are_primitivized_and_deduped():
 def test_cone_equal_up_to_scaling_and_redundancy():
     a = Cone(2, [(1, 0), (0, 1)])
     b = Cone(2, [(3, 0), (1, 1), (0, 5)])
-    assert cone_equal(a, b)
-    assert not cone_equal(a, Cone(2, [(1, 0), (1, 1)]))
+    assert a.equals(b)
+    assert not a.equals(Cone(2, [(1, 0), (1, 1)]))
 
 
 def test_intersect_with_subspace_diagonal():

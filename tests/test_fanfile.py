@@ -3,6 +3,7 @@ import json
 import pytest
 from conftest import FIXTURE_NAMES, fixture_path
 
+from stackycones.cli import main
 from stackycones.fanfile import (
     FanFileError,
     fan_from_dict,
@@ -79,11 +80,20 @@ def test_unreadable_file():
         load_fan("does/not/exist.json")
 
 
-def test_invalid_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(FanFileError):
-        load_fan(path)
+def test_invalid_json(tmp_path, capsys):
+    for content in (
+        b"{not json",
+        b'{"name": "\xff\xfe"}',                    # not UTF-8
+        b"[" * 100000,                              # nesting past the recursion limit
+        b'{"rank": ' + b"9" * 5000 + b"}",          # integer past the digit limit
+    ):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(FanFileError):
+            load_fan(path)
+        assert main(["validate", str(path)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_fan_to_dict_shape():

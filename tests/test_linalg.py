@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,23 +92,43 @@ def test_primitive_direction_rational():
     assert canonical_line_direction((0, Fraction(-1, 3))) == (0, 1)
 
 
-int_matrices = st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.integers(min_value=1, max_value=5).flatmap(
-        lambda m: st.lists(
-            st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
-            min_size=m, max_size=m)))
+# zeros are drawn often so that pivot searches have to swap rows
+entries = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=4))
 
 
-@given(int_matrices)
+@st.composite
+def matrices(draw, nrows, ncols):
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # a dependent last row makes singular and rank-deficient inputs common
+        c = draw(entries)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[-2])]
+    return tuple(tuple(r) for r in rows)
+
+
+sizes = st.integers(min_value=1, max_value=5)
+rat_matrices = st.tuples(sizes, sizes).flatmap(lambda shape: matrices(*shape))
+
+
+@given(rat_matrices)
 @settings(max_examples=120, deadline=None)
 def test_kernel_property(rows):
-    rows = tuple(tuple(r) for r in rows)
     basis = kernel_basis(rows)
     for k in basis:
         assert all(dot(row, k) == 0 for row in rows)
     assert len(basis) == len(rows[0]) - rank(rows)
     # pivot count of the reduced form is an independent rank oracle
     assert rank(rows) == len(rref(rows)[1])
+    # so is sympy, which also gives the kernel to compare spans with
+    oracle = sympy.Matrix(rows)
+    assert rank(rows) == oracle.rank()
+    null = oracle.nullspace()
+    assert len(basis) == len(null)
+    if basis:
+        assert sympy.Matrix(basis).rank() == len(basis)
+        assert sympy.Matrix(list(basis) + [tuple(v) for v in null]).rank() == len(basis)
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6))
@@ -124,22 +145,23 @@ def test_primitive_recomposition(coords):
     assert tuple(c * a for a in w) == tuple(coords)
 
 
-square_matrices = st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.lists(st.integers(min_value=-6, max_value=6),
-                          min_size=n, max_size=n), min_size=n, max_size=n),
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n)))
+square_systems = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(matrices(n, n),
+                        st.lists(entries, min_size=n, max_size=n)))
 
 
-@given(square_matrices)
+@given(square_systems)
 @settings(max_examples=120, deadline=None)
 def test_solve_round_trip(data):
     rows, x = data
-    rows = tuple(tuple(r) for r in rows)
-    if det(rows) == 0:
-        return
+    oracle = sympy.Matrix(rows)
+    assert det(rows) == oracle.det()
     y = mat_vec(rows, x)
+    if oracle.det() == 0:
+        assert solve_square(rows, y) is None
+        assert inverse(rows) is None
+        return
     assert solve_square(rows, y) == tuple(Fraction(a) for a in x)
     inv = inverse(rows)
-    assert inv is not None
+    assert sympy.Matrix(inv) == oracle.inv()
     assert mat_vec(inv, y) == tuple(Fraction(a) for a in x)
