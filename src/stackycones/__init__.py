@@ -6,6 +6,7 @@ generator description of the latter."""
 from .boxes import (
     ACoeffs,
     BoxElement,
+    EnumerationLimitError,
     IncompleteFanError,
     cone_parallelepiped_points,
     enumerate_box,

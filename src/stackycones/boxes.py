@@ -15,16 +15,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
-from typing import Optional, Sequence
+from math import floor, prod
+from typing import Sequence
 
-from .fan import NElement, StackyFan, ray_data
-from .linalg import IntVec, Number, inverse, mat_vec, solve_square
+from .fan import NElement, StackyFan
+from .linalg import IntVec, det, inverse, mat_vec, solve_square
+
+# enumerate_box refuses more bounding-box candidates or box elements: a scan
+# that long takes seconds; the largest fixture, test or benchmark input needs 812
+ENUMERATION_LIMIT = 10 ** 5
 
 
 class IncompleteFanError(RuntimeError):
     """No maximal cone contains the requested point; the fan cannot be
     complete (validation escape hatch)."""
+
+
+class EnumerationLimitError(ValueError):
+    """The box of a fan is too large to enumerate within ENUMERATION_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -38,9 +46,6 @@ class ACoeffs:
             if i == ray:
                 return v
         return Fraction(0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return self.entries
@@ -65,9 +70,6 @@ class BoxElement:
     @property
     def is_untwisted(self) -> bool:
         return not any(self.rig) and not any(self.torsion)
-
-    def sort_key(self):
-        return (self.rig, self.torsion)
 
     def as_n_element(self) -> NElement:
         return NElement(self.rig, self.torsion)
@@ -129,18 +131,28 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
     inv = inverse(rows)
     if inv is None:
         raise ValueError(f"cone {tuple(cone)} is not simplicial")
-    lo = [0] * d
-    hi = [0] * d
-    for bits in itertools.product((0, 1), repeat=len(vectors)):
-        corner = [sum(e * v[j] for e, v in zip(bits, vectors)) for j in range(d)]
-        lo = [min(a, b) for a, b in zip(lo, corner)]
-        hi = [max(a, b) for a, b in zip(hi, corner)]
+    lo = [sum(min(0, v[j]) for v in vectors) for j in range(d)]
+    hi = [sum(max(0, v[j]) for v in vectors) for j in range(d)]
     out = []
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         a = mat_vec(inv, point)
         if all(0 <= x < 1 for x in a):
             out.append((point, ACoeffs.from_pairs(zip(cone, a))))
     return out
+
+
+def _enumeration_size(fan: StackyFan) -> tuple[int, int]:
+    """Bounding-box candidates summed over maximal cones, and the sum of
+    |det| over full-dimensional ones times the torsion group's order (an
+    upper bound on the number of box elements)."""
+    candidates = points = 0
+    for cone in fan.max_cones:
+        vectors = [fan.rays[i].free for i in cone]
+        # the bounding box's side j is the sum of |v[j]| (see the scan)
+        candidates += prod(1 + sum(abs(v[j]) for v in vectors) for j in range(fan.dim))
+        if len(cone) == fan.dim:
+            points += int(abs(det(tuple(zip(*vectors)))))
+    return candidates, points * prod(fan.group.torsion_orders)
 
 
 def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
@@ -150,8 +162,15 @@ def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     Every box element lies in the half-open parallelepiped of some maximal
     cone (points with zero coefficients included, since any subset of a
     simplicial cone's rays spans a face), so the union over maximal cones
-    is exhaustive.
+    is exhaustive.  Raises EnumerationLimitError, before enumerating, when
+    the bounding-box scan or the box itself would exceed ENUMERATION_LIMIT.
     """
+    candidates, elements = _enumeration_size(fan)
+    if max(candidates, elements) > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"fan '{fan.name}' is too large to enumerate: {candidates} "
+            f"bounding-box candidates, up to {elements} box elements "
+            f"(limit {ENUMERATION_LIMIT})")
     rig_points: dict[IntVec, ACoeffs] = {}
     for cone in fan.max_cones:
         for point, coeffs in cone_parallelepiped_points(fan, cone):

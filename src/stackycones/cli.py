@@ -1,10 +1,11 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 2 validation failure, 3 theorem-verification
-mismatch, 64 usage or parse error.  Every command takes a fan file and an
-optional ``--json`` flag switching from the human-readable tables to a
-machine-readable document in which exact rationals appear as
-``{"num": "...", "den": "..."}`` decimal strings (never floats).
+Exit codes: 0 success, 2 validation failure or a fan too large to
+enumerate, 3 theorem-verification mismatch, 64 usage or parse error.
+Every command takes a fan file and an optional ``--json`` flag switching
+from the human-readable tables to a machine-readable document in which
+exact rationals appear as ``{"num": "...", "den": "..."}`` decimal
+strings (never floats).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .boxes import enumerate_box, twisted_sectors
+from .boxes import EnumerationLimitError, enumerate_box, twisted_sectors
 from .cones import Cone
 from .fan import NElement, StackyFan, validate
 from .fan import ray_data as fan_ray_data
@@ -420,6 +421,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except _InvalidFan:
+        return EXIT_VALIDATION
+    except EnumerationLimitError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

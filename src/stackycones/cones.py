@@ -163,24 +163,32 @@ class Cone:
     redundant (non-extremal) generators are tolerated on input and removed
     whenever a canonical description is produced.  The zero cone
     (no generators) and the full space are valid values.  Instances are
-    immutable; the cached inequality description is filled at most once.
+    immutable; the dual cone is computed at most once and cached, and every
+    double description run in the package goes through :meth:`dual`.
     """
 
-    __slots__ = ("ambient_dim", "generators", "_inequalities", "_canonical")
+    __slots__ = ("ambient_dim", "generators", "_dual")
 
     def __init__(self, ambient_dim: int, generators: Sequence[Sequence[Number]] = ()):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be non-negative")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "generators", _dedup_primitive(ambient_dim, generators))
-        object.__setattr__(self, "_inequalities", None)
-        object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_dual", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
 
     def __repr__(self) -> str:
         return f"Cone(dim={self.ambient_dim}, generators={list(self.generators)})"
+
+    def dual(self) -> "Cone":
+        """The dual cone {u : <u, v> >= 0 for all v in this cone}, with its
+        canonical generators (cached: the same object on every call)."""
+        if self._dual is None:
+            lin, rays = _halfspace_description(self.ambient_dim, self.generators)
+            object.__setattr__(self, "_dual", Cone(self.ambient_dim, _flatten(lin, rays)))
+        return self._dual
 
     @property
     def inequalities(self) -> tuple[IntVec, ...]:
@@ -190,14 +198,7 @@ class Cone:
         vector; lineality directions of the dual appear as +/- pairs and act
         as equality constraints.
         """
-        if self._inequalities is None:
-            lin, rays = _halfspace_description(self.ambient_dim, self.generators)
-            object.__setattr__(self, "_inequalities", _flatten(lin, rays))
-        return self._inequalities
-
-    def dual(self) -> "Cone":
-        """The dual cone {u : <u, v> >= 0 for all v in this cone}."""
-        return Cone(self.ambient_dim, self.inequalities)
+        return self.dual().generators
 
     def contains(self, v: Sequence[Number]) -> bool:
         if len(v) != self.ambient_dim:
@@ -216,10 +217,7 @@ class Cone:
     def canonical_generators(self) -> tuple[IntVec, ...]:
         """Minimal canonical generator list: +/- a canonical lineality basis
         together with the extreme rays reduced modulo the lineality, sorted."""
-        if self._canonical is None:
-            lin, rays = _halfspace_description(self.ambient_dim, self.inequalities)
-            object.__setattr__(self, "_canonical", _flatten(lin, rays))
-        return self._canonical
+        return self.dual().dual().generators
 
     def intersect_with_subspace(self, equations: Sequence[Sequence[Number]]) -> "Cone":
         """This cone intersected with {x : <e, x> = 0 for all e in equations}."""
@@ -232,18 +230,11 @@ class Cone:
             w = primitive_direction(e)
             constraints.append(w)
             constraints.append(vneg(w))
-        lin, rays = _halfspace_description(self.ambient_dim,
-                                           _dedup_primitive(self.ambient_dim, constraints))
-        return Cone(self.ambient_dim, _flatten(lin, rays))
-
-    def is_zero_cone(self) -> bool:
-        return not self.generators
+        return Cone(self.ambient_dim, constraints).dual()
 
 
 def intersect(a: Cone, b: Cone) -> Cone:
     """Intersection of two cones in the same ambient space."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("cones live in different ambient spaces")
-    constraints = _dedup_primitive(a.ambient_dim, list(a.inequalities) + list(b.inequalities))
-    lin, rays = _halfspace_description(a.ambient_dim, constraints)
-    return Cone(a.ambient_dim, _flatten(lin, rays))
+    return Cone(a.ambient_dim, a.inequalities + b.inequalities).dual()

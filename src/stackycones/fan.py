@@ -9,8 +9,8 @@ is the half-line spanned by the free part of beta(v_rho), so the condition
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from . import linalg
 from .cones import Cone, intersect
@@ -207,10 +207,11 @@ def validate(fan: StackyFan) -> ValidationReport:
 
     if simplicial:
         bad_pairs = []
+        cones = [_cone_of(fan, c) for c in fan.max_cones]
         for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
             ca, cb = fan.max_cones[a], fan.max_cones[b]
             common = sorted(set(ca) & set(cb))
-            geometric = intersect(_cone_of(fan, ca), _cone_of(fan, cb))
+            geometric = intersect(cones[a], cones[b])
             if not geometric.equals(_cone_of(fan, common)):
                 bad_pairs.append((ca, cb))
         checks.append(CheckResult(

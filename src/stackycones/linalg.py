@@ -13,15 +13,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-Scalar = Fraction
 Number = Union[int, Fraction]
 IntVec = tuple  # tuple[int, ...]
 RatVec = tuple  # tuple[Number, ...]
 Matrix = tuple  # tuple[RatVec, ...], rows
-
-
-def vec(values: Sequence[Number]) -> RatVec:
-    return tuple(values)
 
 
 def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
@@ -34,12 +29,6 @@ def vadd(u: Sequence[Number], v: Sequence[Number]) -> RatVec:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Sequence[Number], v: Sequence[Number]) -> RatVec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c: Number, v: Sequence[Number]) -> RatVec:
@@ -60,12 +49,6 @@ def unit_vector(dim: int, i: int) -> IntVec:
 
 def mat_vec(rows: Sequence[Sequence[Number]], x: Sequence[Number]) -> RatVec:
     return tuple(dot(row, x) for row in rows)
-
-
-def transpose(rows: Sequence[Sequence[Number]]) -> Matrix:
-    if not rows:
-        return ()
-    return tuple(zip(*rows))
 
 
 def primitive(v: Sequence[int]) -> tuple[IntVec, int]:
@@ -104,14 +87,14 @@ def canonical_line_direction(v: Sequence[Number]) -> IntVec:
 
 def _int_rows(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], int]:
     # Row scaling (by positive numbers) preserves rank and pivot structure;
-    # the product of the scale factors is returned for det.
+    # the product of the scale factors is returned for det.  Entries are int
+    # or Fraction, both of which have a denominator.
     out = []
     scale = 1
     for row in rows:
-        fracs = [Fraction(a) for a in row]
-        mul = lcm(*(f.denominator for f in fracs))
+        mul = lcm(*(a.denominator for a in row))
         scale *= mul
-        out.append([int(f * mul) for f in fracs])
+        out.append([int(a * mul) for a in row])
     return out, scale
 
 

@@ -1,8 +1,7 @@
 """The distinguished dual pair of bases of the orbifold curve/divisor
 spaces, orbifold classes of one-parameter subgroups, the movable cone of
 curve classes, the pseudo-effective generators, and the verifier that
-checks the generator description against an independent dual-cone
-computation.
+checks the generator description against the dual of the movable cone.
 
 For each ray rho put bb_rho = c_rho * v_rho.  The basis of V_orb indexed
 by eta in {rays} + {twisted sectors} is
@@ -19,10 +18,12 @@ The movable cone is cone{Xi_eta} intersected with the curve space.  Since
 {Xi_eta} is a basis, the inequality description of cone{Xi_eta} is exactly
 {<Xi*_eta, .> >= 0}, so the intersection is computed by restricting each
 Xi*_eta to the curve basis and dualizing in the curve coordinates.  The
-verifier then feeds the movable cone's generators to the generic double
-description dual (no use of Xi* on that route) and compares against the
-cone on the lambda_orb(Xi*_eta); the two routes are algorithmically
-independent.
+verifier dualizes the movable cone once more and checks, by containment in
+both directions, that the result is the cone on the lambda_orb(Xi*_eta).
+Both sides are double description runs on the same restricted functionals,
+so the check confirms the engine's biduality on each input; it is not an
+independent route.  Computing Mov by circuit enumeration (ROADMAP item 4)
+would give one that shares no engine.
 """
 
 from __future__ import annotations
@@ -181,13 +182,12 @@ def verify_duality(fan: StackyFan,
                    sectors: Optional[Sequence[BoxElement]] = None,
                    spaces: Optional[AmbientSpaces] = None,
                    xi: Optional[XiSystem] = None) -> VerificationReport:
-    """Check that the generic dual of the movable cone equals the cone on
-    the predicted pseudo-effective generators, exactly.
+    """Check that the dual of the movable cone equals the cone on the
+    predicted pseudo-effective generators, exactly, by containment both ways.
 
-    The movable cone uses the Xi* shortcut; its dual here is recomputed by
-    the generic double description from the movable cone's generator list,
-    so agreement of the two sides is a genuine cross-check rather than a
-    computation verified against itself.
+    Mov is the dual of the cone on the restricted functionals; with each dual
+    cached this makes three double description runs.  Agreement confirms the
+    engine's biduality on this input, not an independent computation.
     """
     if sectors is None:
         sectors = twisted_sectors(fan)
@@ -195,10 +195,10 @@ def verify_duality(fan: StackyFan,
         spaces = build_spaces(fan, sectors)
     if xi is None:
         xi = build_xi(fan, sectors, spaces)
-    mov = mov_cone(spaces, xi)
-    dual_of_mov = mov.dual()
     classes = restricted_functionals(spaces, xi)
     corollary = Cone(spaces.dim_ns_orb, classes)
+    mov = corollary.dual()
+    dual_of_mov = mov.dual()
     equal = dual_of_mov.equals(corollary)
     separating = None
     if not equal:

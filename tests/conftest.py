@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from stackycones import AbelianGroupSpec, NElement, StackyFan, load_fan
+import pytest
+
+from stackycones import AbelianGroupSpec, NElement, StackyFan, cones, load_fan
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
@@ -82,6 +84,21 @@ def random_n_element(fan: StackyFan, rng: random.Random, bound: int = 20) -> NEl
     free = tuple(rng.randint(-bound, bound) for _ in range(fan.dim))
     torsion = tuple(rng.randrange(l) for l in fan.group.torsion_orders)
     return NElement(free, torsion)
+
+
+@pytest.fixture
+def dd_runs(monkeypatch) -> list:
+    """One entry per double description run (call of
+    cones._halfspace_description) made while the test runs."""
+    runs = []
+    original = cones._halfspace_description
+
+    def counting(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_halfspace_description", counting)
+    return runs
 
 
 def pytest_addoption(parser):

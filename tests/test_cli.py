@@ -2,10 +2,15 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from math import prod
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from conftest import REPO_ROOT, fixture_path
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from stackycones.cli import main
 
@@ -170,3 +175,128 @@ def test_module_invocation_smoke():
         capture_output=True, text=True, cwd=REPO_ROOT / "src")
     assert proc.returncode == 0
     assert "theorem verification: PASS" in proc.stdout
+
+
+# Valid fans whose box is too large to enumerate: a torsion group of order
+# 10^8, and a ray whose two cones have |det| 10^6 (~10^12 bounding-box
+# candidates).  Each runs in a child process under an address-space cap, so
+# a missing guard fails the test instead of exhausting memory.
+HOSTILE_FANS = {
+    "big-torsion": {
+        "rank": 1, "torsion": [100000000],
+        "rays": [{"beta_free": [1], "beta_torsion": [1]}, {"beta_free": [-1]}],
+        "max_cones": [[0], [1]]},
+    "far-ray": {
+        "rank": 2,
+        "rays": [{"beta_free": [1, 0]}, {"beta_free": [0, 1]},
+                 {"beta_free": [-1000000, -1000000]}],
+        "max_cones": [[0, 1], [1, 2], [2, 0]]},
+}
+
+_HOSTILE_CHILD = """
+import io, json, resource, sys, time
+from contextlib import redirect_stderr, redirect_stdout
+cap = 800 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from stackycones.cli import main
+results = {}
+for command in ("validate", "box", "sectors", "verify"):
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([command, sys.argv[1]])
+    results[command] = (code, err.getvalue(), time.perf_counter() - start)
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FANS))
+def test_fan_too_large_to_enumerate_exits_two(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, **HOSTILE_FANS[name]}))
+    proc = subprocess.run([sys.executable, "-c", _HOSTILE_CHILD, str(path)],
+                          capture_output=True, text=True, cwd=REPO_ROOT / "src",
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    code, err, seconds = results["validate"]
+    assert code == 0 and err == ""
+    for command in ("box", "sectors", "verify"):
+        code, err, seconds = results[command]
+        assert code == 2, (command, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert "too large to enumerate" in err
+        assert seconds < 1.0, (command, seconds)
+
+
+COMMANDS = ("validate", "rays", "box", "sectors", "ns", "xi", "mov", "peff",
+            "verify", "class-of-1ps")
+
+
+@st.composite
+def random_fan_documents(draw):
+    """Small fan documents, mostly invalid: rank 0-3, at most 6 rays with
+    entries in [-5, 5], at most one torsion factor, and cones that may
+    repeat, leave out or overrun ray indices or have the wrong length."""
+    rank = draw(st.integers(0, 3))
+    torsion = draw(st.lists(st.integers(2, 4), max_size=1))
+    n = draw(st.integers(0, 6))
+    entries = st.integers(-5, 5)
+    rays = []
+    for _ in range(n):
+        ray = {"beta_free": draw(st.lists(entries, min_size=rank, max_size=rank))}
+        if torsion and draw(st.booleans()):
+            ray["beta_torsion"] = draw(st.lists(entries, min_size=1, max_size=1))
+        rays.append(ray)
+    cone = st.lists(st.integers(-1, n), max_size=rank + 1)
+    return {"name": "fuzz", "rank": rank, "torsion": torsion, "rays": rays,
+            "max_cones": draw(st.lists(cone, max_size=2 ** rank + 2))}
+
+
+def projective_space(d):
+    """Rays and maximal cones of P^d: e_1, ..., e_d, -(e_1 + ... + e_d), and
+    every d of them (for d = 0, no rays and one zero-dimensional cone).
+    Every maximal cone is unimodular."""
+    rays = [[int(i == j) for j in range(d)] for i in range(d)] + ([[-1] * d] if d else [])
+    cones = [[i for i in range(len(rays)) if i != k] for k in range(len(rays))]
+    return rays, cones or [[]]
+
+
+@st.composite
+def valid_fan_documents(draw):
+    """Projective spaces with every ray image scaled by 1-3 and at most one
+    torsion factor, kept to at most 16 box elements so that verify stays
+    fast; these documents reach every command past validation."""
+    rank = draw(st.integers(0, 3))
+    rays, cones = projective_space(rank)
+    torsion = draw(st.lists(st.integers(2, 4), max_size=1))
+    scales = [draw(st.integers(1, 3)) for _ in rays]
+    box = sum(prod(scales[i] for i in cone) for cone in cones) * prod(torsion)
+    assume(box <= 16)
+    docs = [{"beta_free": [c * x for x in ray],
+             "beta_torsion": draw(st.lists(st.integers(-5, 5), min_size=len(torsion),
+                                           max_size=len(torsion)))}
+            for c, ray in zip(scales, rays)]
+    return {"name": "fuzz", "rank": rank, "torsion": torsion, "rays": docs,
+            "max_cones": cones}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(doc=st.one_of(random_fan_documents(), valid_fan_documents()),
+       free=st.lists(st.integers(-5, 5), max_size=3), fit_rank=st.booleans(),
+       torsion=st.none() | st.integers(-5, 5))
+def test_cli_fuzz_never_raises(doc, free, fit_rank, torsion):
+    if fit_rank:
+        free = (free + [0] * 3)[:doc["rank"]]
+    b = ",".join(map(str, free)) + ("" if torsion is None else f";{torsion}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fan.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            argv = [command, str(path)]
+            if command == "class-of-1ps":
+                argv.append(f"--b={b}")
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 64), (command, doc, code)

@@ -129,9 +129,16 @@ def test_subspace_intersection_properties_random():
             assert all(dot(e, g) == 0 for e in eqs)
 
 
-def test_inequality_cache_is_consistent_with_generators():
+def test_inequality_cache_is_consistent_with_generators(dd_runs):
     c = Cone(3, [(1, 0, 0), (1, 1, 0), (0, 0, 1)])
     ineqs = c.inequalities
     for g in c.generators:
         assert all(dot(h, g) >= 0 for h in ineqs)
     assert c.inequalities is ineqs  # write-once cache
+    assert c.dual() is c.dual()
+    assert c.dual().generators is ineqs
+    assert c.contains((2, 1, 5))
+    assert len(dd_runs) == 1  # dual, inequalities and contains share one run
+    assert c.canonical_generators() == ((0, 0, 1), (1, 0, 0), (1, 1, 0))
+    assert c.canonical_generators() is c.dual().dual().generators
+    assert len(dd_runs) == 2

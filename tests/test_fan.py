@@ -39,9 +39,18 @@ def test_p2_validates():
     assert validate(fixture_fan("p2")).ok
 
 
-def test_all_shipped_fixtures_validate():
+# double description runs of validate: one per maximal cone, then per pair
+# the intersection and the two duals its equality test with the common face
+# needs (neither when the intersection is the zero cone)
+VALIDATE_DD_RUNS = {"p1": 3, "p2": 12, "hirzebruch-f1": 18, "football": 3,
+                    "gerby-p1": 3, "p1xfootball": 18, "p2-c2": 12}
+
+
+def test_all_shipped_fixtures_validate(dd_runs):
     for fan in all_fixture_fans():
+        before = len(dd_runs)
         assert validate(fan).ok, fan.name
+        assert len(dd_runs) - before == VALIDATE_DD_RUNS[fan.name], fan.name
 
 
 def test_overlapping_cones_fail_face_check():

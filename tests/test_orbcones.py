@@ -119,17 +119,22 @@ def test_peff_generators_gerby():
     assert [tuple(c.pairing) for c in classes] == [(1, 0), (1, 0), (0, 1)]
 
 
-def test_verify_duality_fixtures():
+def test_verify_duality_fixtures(dd_runs):
     for fan in all_fixture_fans():
+        before = len(dd_runs)
         report = verify_duality(fan)
         assert report.equal, fan.name
         assert report.separating is None
+        # Mov, dual(Mov) and the dual of dual(Mov), once each
+        assert len(dd_runs) - before == 3, fan.name
 
 
 def test_verify_duality_football_extremal_rays():
     report = verify_duality(fixture_fan("football"))
     assert report.corollary_generators == ((0, 1), (1, -1))
     assert report.dual_of_mov_generators == ((0, 1), (1, -1))
+    # the corollary cone's canonical form is dual(Mov), cached
+    assert report.corollary_generators is report.dual_of_mov_generators
 
 
 def test_decomposition_reconstructs_class():
