@@ -186,4 +186,4 @@ def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
 def twisted_sectors(fan: StackyFan) -> tuple[BoxElement, ...]:
     """enumerate_box minus the untwisted element; this order defines the
     sector index used by all downstream coordinates."""
-    return tuple(e for e in enumerate_box(fan) if not e.is_untwisted)
+    return tuple([e for e in enumerate_box(fan) if not e.is_untwisted])

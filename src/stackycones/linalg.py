@@ -5,6 +5,12 @@ reduced form, positive denominator).  Vectors are tuples, matrices are
 tuples of row tuples.  There is no floating point anywhere in this
 package: cone membership and strict inequalities downstream must be
 decided exactly.
+
+Tuples built on every call of the sector pipeline are made from lists,
+``tuple([...])``.  CPython builds ``tuple(<generator>)`` by resizing, so it
+never takes a tuple from the free list of its final size but frees into
+it; over many calls the free lists of small sizes fill up (2,000 entries
+each) and grow the process's resident memory.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ Matrix = tuple  # tuple[RatVec, ...], rows
 def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(a * b for a, b in zip(u, v) if a and b)
 
 
 def vadd(u: Sequence[Number], v: Sequence[Number]) -> RatVec:
@@ -44,7 +50,9 @@ def is_zero_vec(v: Sequence[Number]) -> bool:
 
 
 def unit_vector(dim: int, i: int) -> IntVec:
-    return tuple(1 if j == i else 0 for j in range(dim))
+    v = [0] * dim
+    v[i] = 1
+    return tuple(v)
 
 
 def mat_vec(rows: Sequence[Sequence[Number]], x: Sequence[Number]) -> RatVec:

@@ -95,7 +95,7 @@ class AmbientSpaces:
 
 def eta_labels(n: int, t: int) -> tuple[str, ...]:
     """Display labels for the combined index (rays first, then sectors)."""
-    return tuple(f"rho{i}" for i in range(n)) + tuple(f"Y{j}" for j in range(t))
+    return tuple([f"rho{i}" for i in range(n)] + [f"Y{j}" for j in range(t)])
 
 
 def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces:
@@ -103,20 +103,20 @@ def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces
     the exactness and dimension identities they must satisfy."""
     rd = ray_data(fan)
     n, d, t = len(rd), fan.dim, len(sectors)
-    alpha = tuple(r.w for r in rd)
-    beta_prime = tuple(tuple(r.w[j] for r in rd) for j in range(d))
-    beta_prime_orb = tuple(row + (0,) * t for row in beta_prime)
+    alpha = tuple([r.w for r in rd])
+    beta_prime = tuple([tuple([r.w[j] for r in rd]) for j in range(d)])
+    beta_prime_orb = tuple([row + (0,) * t for row in beta_prime])
     if rank(beta_prime) != d:
         raise ValueError("beta' does not have full rank; the fan should not "
                          "have passed validation")
     ker = kernel_basis(beta_prime, ncols=n)
     if len(ker) != n - d:
         raise AssertionError("kernel dimension disagrees with rank-nullity")
-    curve_basis = tuple(k + (0,) * t for k in ker) + tuple(
-        unit_vector(n + t, n + j) for j in range(t))
+    curve_basis = tuple([k + (0,) * t for k in ker]
+                        + [unit_vector(n + t, n + j) for j in range(t)])
     # exactness: every column of alpha_orb pairs to zero with the curve basis
     for j in range(d):
-        col = tuple(r.w[j] for r in rd) + (0,) * t
+        col = tuple([r.w[j] for r in rd]) + (0,) * t
         if any(dot(col, k) != 0 for k in curve_basis):
             raise AssertionError("lambda_orb . alpha_orb != 0")
     return AmbientSpaces(
@@ -126,7 +126,7 @@ def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces
         beta_prime_orb=beta_prime_orb,
         ker_beta_prime=ker,
         curve_basis=curve_basis,
-        ray_cs=tuple(r.c for r in rd),
+        ray_cs=tuple([r.c for r in rd]),
         labels=eta_labels(n, t),
     )
 

@@ -14,6 +14,11 @@ with dual basis in U_orb
     Xi*_rho = (1/c_rho) u_rho - sum_Y a_rho(Y) u_Y,
     Xi*_Y   = u_Y.
 
+Both bases are sparse: Xi_Y has at most d+1 nonzeros and Xi*_Y exactly
+one.  build_xi checks Xi* . Xi = I exactly on every entry as a sparse
+product that multiplies nonzeros only: O(t (d+1)^2) products, where the
+dense product would take (n+t)^3.
+
 The movable cone is cone{Xi_eta} intersected with the curve space.  Since
 {Xi_eta} is a basis, the inequality description of cone{Xi_eta} is exactly
 {<Xi*_eta, .> >= 0}, so the intersection is computed by restricting each
@@ -36,7 +41,7 @@ from typing import Optional, Sequence
 from .boxes import BoxElement, minimal_cone_coeffs, q_reduce, twisted_sectors
 from .cones import Cone
 from .fan import NElement, StackyFan
-from .linalg import IntVec, RatVec, dot, unit_vector
+from .linalg import IntVec, Number, RatVec, dot, unit_vector
 from .neron_severi import (
     AmbientSpaces,
     OrbDivisorClass,
@@ -77,22 +82,23 @@ class OnePSClass:
 
 def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
              spaces: AmbientSpaces) -> XiSystem:
-    """Construct both bases and assert the exact dual-basis identity; both
-    are square, so Xi* . Xi = I also proves that Xi is a basis."""
+    """Construct both bases and check the exact dual-basis identity
+    Xi* . Xi = I on every entry (see _check_dual_basis); both are square,
+    so the identity also proves that Xi is a basis."""
     n, t = spaces.n, spaces.t
     dim = n + t
-    b_bold = tuple(tuple(c if j == i else 0 for j in range(dim))
-                   for i, c in enumerate(spaces.ray_cs))
+    b_bold = tuple([tuple([c if j == i else 0 for j in range(dim)])
+                    for i, c in enumerate(spaces.ray_cs)])
     xi = list(b_bold)
     for j, sector in enumerate(sectors):
-        v = [Fraction(0)] * dim
-        v[n + j] = Fraction(1)
+        v = [0] * dim
+        v[n + j] = 1
         for i, a in sector.coeffs.items():
             v[i] += a * spaces.ray_cs[i]
         xi.append(tuple(v))
     xi_star = []
     for i, c in enumerate(spaces.ray_cs):
-        u = [Fraction(0)] * dim
+        u = [0] * dim
         u[i] = Fraction(1, c)
         for j, sector in enumerate(sectors):
             a = sector.coeffs.get(i)
@@ -101,15 +107,40 @@ def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
         xi_star.append(tuple(u))
     for j in range(t):
         xi_star.append(unit_vector(dim, n + j))
-    for a, star in enumerate(xi_star):
-        for b, v in enumerate(xi):
-            expected = 1 if a == b else 0
-            if dot(star, v) != expected:
-                raise AssertionError(
-                    f"dual-basis identity fails at ({a}, {b}): "
-                    f"<{star}, {v}> != {expected}")
+    _check_dual_basis(xi, xi_star)
     return XiSystem(labels=spaces.labels, xi=tuple(xi),
                     xi_star=tuple(xi_star), b_bold=b_bold)
+
+
+def _check_dual_basis(xi: Sequence[RatVec], xi_star: Sequence[RatVec]) -> None:
+    """Raise AssertionError unless <xi_star[a], xi[b]> is 1 for a == b and
+    0 otherwise, for every pair of the two square lists.
+
+    The product is taken sparsely: each nonzero of Xi* is indexed by its
+    column once, and each Xi_b multiplies only its own nonzeros against
+    that index.  An entry (a, b) that no pair of nonzeros reaches is
+    exactly 0, so checking the entries reached, plus the diagonal entry
+    (b, b), checks the whole identity.  Xi_Y is supported on its sector
+    and the rays of its minimal cone, and a sector column of Xi* on the
+    same at most d+1 indices, so that is O(t (d+1)^2) products.
+    """
+    by_column: list[list[tuple[int, Number]]] = [[] for _ in xi_star]
+    for a, star in enumerate(xi_star):
+        for k, s in enumerate(star):
+            if s:
+                by_column[k].append((a, s))
+    for b, v in enumerate(xi):
+        entries = {b: 0}
+        for k, x in enumerate(v):
+            if x:
+                for a, s in by_column[k]:
+                    entries[a] = entries.get(a, 0) + s * x
+        for a, value in entries.items():
+            expected = 1 if a == b else 0
+            if value != expected:
+                raise AssertionError(
+                    f"dual-basis identity fails at ({a}, {b}): "
+                    f"<{xi_star[a]}, {v}> = {value} != {expected}")
 
 
 def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     VERIFY_CURVE_DIM_CAP,
     all_fixture_fans,
@@ -11,10 +15,12 @@ from conftest import (
 
 from stackycones.boxes import twisted_sectors
 from stackycones.cones import Cone
-from stackycones.fan import NElement
+from stackycones.fan import NElement, validate
+from stackycones.fanfile import fan_from_dict
 from stackycones.linalg import dot, vadd, vscale
 from stackycones.neron_severi import build_spaces
 from stackycones.orbcones import (
+    _check_dual_basis,
     build_xi,
     mov_cone,
     one_ps_class,
@@ -56,6 +62,98 @@ def test_dual_basis_identity_all_fixtures():
         for a, star in enumerate(xi.xi_star):
             for b, v in enumerate(xi.xi):
                 assert dot(star, v) == (1 if a == b else 0), (fan.name, a, b)
+
+
+def _dense_identity_holds(xi, xi_star):
+    return all(dot(star, v) == (1 if a == b else 0)
+               for a, star in enumerate(xi_star) for b, v in enumerate(xi))
+
+
+def _with_entry(vectors, a, k, value):
+    out = [list(v) for v in vectors]
+    out[a][k] = value
+    return [tuple(v) for v in out]
+
+
+def test_check_dual_basis_rejects_mutated_bases():
+    for name in ("football", "gerby-p1", "p1xfootball"):
+        _, _, xi = _pipeline(fixture_fan(name))
+        xi_star = xi.xi_star
+        dim = len(xi_star)
+        _check_dual_basis(xi.xi, xi_star)
+        for a in range(dim):
+            # every off-diagonal Xi* entry, zero or not, perturbed
+            for k in range(dim):
+                if k != a:
+                    mutated = _with_entry(xi_star, a, k, xi_star[a][k] + Fraction(1, 3))
+                    with pytest.raises(AssertionError):
+                        _check_dual_basis(xi.xi, mutated)
+            # every diagonal entry scaled
+            mutated = _with_entry(xi_star, a, a, 2 * xi_star[a][a])
+            with pytest.raises(AssertionError):
+                _check_dual_basis(xi.xi, mutated)
+        for b in range(dim):
+            # Xi_b's support misses Xi*_b, so no pair of nonzeros reaches the
+            # diagonal entry (b, b); the check must still visit it
+            mutated = list(xi.xi)
+            mutated[b] = (0,) * dim
+            with pytest.raises(AssertionError, match=rf"fails at \({b}, {b}\)"):
+                _check_dual_basis(mutated, xi_star)
+
+
+# zero in 5 draws of 12, so the pairs are sparse
+sparse_entries = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3,
+                                  Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)))
+
+
+@st.composite
+def square_pairs(draw):
+    """A Xi* and a Xi of one size: either drawn independently, or Xi the
+    exact inverse of Xi* (by sympy), perhaps with one entry perturbed."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    star = [[draw(sparse_entries) for _ in range(n)] for _ in range(n)]
+    if not draw(st.booleans()):
+        xi = [[draw(sparse_entries) for _ in range(n)] for _ in range(n)]
+        return [tuple(v) for v in xi], [tuple(v) for v in star]
+    # triangular with a nonzero diagonal, then rows and columns permuted:
+    # sparse and always invertible
+    for i in range(n):
+        star[i][:i] = [0] * i
+        star[i][i] = draw(sparse_entries.filter(bool))
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    star = [[star[r][c] for c in cols] for r in rows]
+    inv = sympy.Matrix(star).inv()
+    xi = [[Fraction(int(inv[i, b].p), int(inv[i, b].q)) for i in range(n)]
+          for b in range(n)]
+    if draw(st.booleans()):
+        side = xi if draw(st.booleans()) else star
+        a, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        side[a][k] += draw(st.sampled_from((1, -1, Fraction(1, 2))))
+    return [tuple(v) for v in xi], [tuple(v) for v in star]
+
+
+@given(square_pairs())
+@settings(max_examples=300, deadline=None)
+def test_check_dual_basis_agrees_with_dense_product(pair):
+    xi, xi_star = pair
+    if _dense_identity_holds(xi, xi_star):
+        _check_dual_basis(xi, xi_star)
+    else:
+        with pytest.raises(AssertionError):
+            _check_dual_basis(xi, xi_star)
+
+
+def test_build_xi_on_torsion_heavy_fan():
+    # 8 rig points times the torsion group Z/3 x Z/4 give 95 twisted sectors
+    fan = fan_from_dict({
+        "name": "torsion-heavy", "rank": 1, "torsion": [3, 4],
+        "rays": [{"beta_free": [5], "beta_torsion": [0, 0]},
+                 {"beta_free": [-4], "beta_torsion": [0, 0]}],
+        "max_cones": [[0], [1]]})
+    assert validate(fan).ok
+    _, spaces, xi = _pipeline(fan)
+    assert spaces.t == 95
+    assert _dense_identity_holds(xi.xi, xi.xi_star)
 
 
 def test_one_ps_class_football_negative():
