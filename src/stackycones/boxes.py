@@ -120,8 +120,11 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
     of one maximal cone, i.e. {sum a_rho b_rho : 0 <= a_rho < 1}.
 
     The integer bounding box of the closed parallelepiped is scanned and
-    every candidate is accepted or rejected by an exact solve; the number
-    of points returned equals |det| of the ray matrix.
+    every candidate is accepted or rejected in integers: with size = |det|
+    of the ray matrix and the integer matrix adj = size * inverse, a
+    candidate p has coefficients adj * p / size, so it lies in the
+    parallelepiped iff 0 <= (adj * p)_i < size for every i.  Fractions are
+    built for accepted points only; the number of points returned is size.
     """
     d = fan.dim
     vectors = [fan.rays[i].free for i in cone]
@@ -131,13 +134,16 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
     inv = inverse(rows)
     if inv is None:
         raise ValueError(f"cone {tuple(cone)} is not simplicial")
+    size = abs(int(det(rows)))
+    adj = tuple([tuple([int(x * size) for x in row]) for row in inv])
     lo = [sum(min(0, v[j]) for v in vectors) for j in range(d)]
     hi = [sum(max(0, v[j]) for v in vectors) for j in range(d)]
     out = []
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        a = mat_vec(inv, point)
-        if all(0 <= x < 1 for x in a):
-            out.append((point, ACoeffs.from_pairs(zip(cone, a))))
+        a = mat_vec(adj, point)
+        if all(0 <= x < size for x in a):
+            out.append((point, ACoeffs.from_pairs(
+                (i, Fraction(x, size)) for i, x in zip(cone, a))))
     return out
 
 

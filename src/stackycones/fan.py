@@ -210,9 +210,11 @@ def validate(fan: StackyFan) -> ValidationReport:
         cones = [_cone_of(fan, c) for c in fan.max_cones]
         for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
             ca, cb = fan.max_cones[a], fan.max_cones[b]
-            common = sorted(set(ca) & set(cb))
-            geometric = intersect(cones[a], cones[b])
-            if not geometric.equals(_cone_of(fan, common)):
+            # the cone on the common rays lies in both cones, so the two
+            # meet in it iff their intersection lies in it
+            face = _cone_of(fan, sorted(set(ca) & set(cb)))
+            if not all(face.contains(g)
+                       for g in intersect(cones[a], cones[b]).generators):
                 bad_pairs.append((ca, cb))
         checks.append(CheckResult(
             "pairwise_intersections", not bad_pairs,

@@ -73,7 +73,13 @@ def primitive(v: Sequence[int]) -> tuple[IntVec, int]:
 
 def primitive_direction(v: Sequence[Number]) -> IntVec:
     """Scale a nonzero rational vector to the primitive integer vector on
-    the same ray (direction preserved)."""
+    the same ray (direction preserved).  An all-int vector is divided by
+    its gcd without building a Fraction."""
+    if all(type(a) is int for a in v):
+        g = gcd(*v)
+        if g == 0:
+            raise ValueError("zero vector has no direction")
+        return tuple([a // g for a in v])
     if all(a == 0 for a in v):
         raise ValueError("zero vector has no direction")
     fracs = [Fraction(a) for a in v]

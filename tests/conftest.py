@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from stackycones import AbelianGroupSpec, NElement, StackyFan, cones, load_fan
+from stackycones import AbelianGroupSpec, NElement, StackyFan, cones, linalg, load_fan
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
@@ -86,19 +87,39 @@ def random_n_element(fan: StackyFan, rng: random.Random, bound: int = 20) -> NEl
     return NElement(free, torsion)
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` with a wrapper recording each call's
+    arguments, under every name a stackycones module binds the function to
+    (modules import each other's functions by name)."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "stackycones" or mod_name.startswith("stackycones."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
 @pytest.fixture
 def dd_runs(monkeypatch) -> list:
     """One entry per double description run (call of
     cones._halfspace_description) made while the test runs."""
-    runs = []
-    original = cones._halfspace_description
+    return _count_calls(monkeypatch, cones, "_halfspace_description")
 
-    def counting(*args):
-        runs.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(cones, "_halfspace_description", counting)
-    return runs
+@pytest.fixture
+def elimination_runs(monkeypatch) -> dict[str, list]:
+    """One entry per call of the Fraction eliminations linalg.rref and
+    linalg.kernel_basis made while the test runs, keyed by function name
+    (kernel_basis's own rref call counts under rref too)."""
+    return {name: _count_calls(monkeypatch, linalg, name)
+            for name in ("rref", "kernel_basis")}
 
 
 def pytest_addoption(parser):

@@ -1,10 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import all_fixture_fans, beta_variant, fixture_fan, random_n_element
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from stackycones.boxes import (
+    ACoeffs,
     IncompleteFanError,
     cone_parallelepiped_points,
     enumerate_box,
@@ -13,7 +18,7 @@ from stackycones.boxes import (
     twisted_sectors,
 )
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan
-from stackycones.linalg import det
+from stackycones.linalg import det, inverse, mat_vec
 
 
 def test_football_coeffs_positive_side():
@@ -153,3 +158,32 @@ def test_box_count_identity_variants():
             points = cone_parallelepiped_points(fan, cone)
             volume = abs(det(tuple(zip(*(fan.rays[i].free for i in cone)))))
             assert len(points) == volume
+
+
+def _rational_parallelepiped_points(vectors):
+    # the scan before it went integer-only: solve every bounding-box
+    # candidate over the rationals
+    d = len(vectors)
+    inv = inverse(tuple(zip(*vectors)))
+    lo = [sum(min(0, v[j]) for v in vectors) for j in range(d)]
+    hi = [sum(max(0, v[j]) for v in vectors) for j in range(d)]
+    out = []
+    for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        a = mat_vec(inv, point)
+        if all(0 <= x < 1 for x in a):
+            out.append((point, ACoeffs.from_pairs(zip(range(d), a))))
+    return out
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(min_value=-3, max_value=3)] * d),
+    min_size=d, max_size=d)))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def test_parallelepiped_points_match_rational_scan(vectors):
+    # either orientation of the ray matrix, so det < 0 is covered
+    assume(det(vectors) != 0)
+    fan = StackyFan(AbelianGroupSpec(len(vectors)),
+                    tuple(NElement(v) for v in vectors),
+                    (tuple(range(len(vectors))),))
+    points = cone_parallelepiped_points(fan, range(len(vectors)))
+    assert points == _rational_parallelepiped_points(vectors)

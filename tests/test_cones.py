@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stackycones import cones
 from stackycones.cones import Cone, intersect
-from stackycones.linalg import dot
+from stackycones.linalg import dot, kernel_basis, primitive_direction, rref
 
 
 def test_dual_quadrant_self_dual():
@@ -142,3 +145,76 @@ def test_inequality_cache_is_consistent_with_generators(dd_runs):
     assert c.canonical_generators() == ((0, 0, 1), (1, 0, 0), (1, 1, 0))
     assert c.canonical_generators() is c.dual().dual().generators
     assert len(dd_runs) == 2
+
+
+def _fraction_reduce_mod_lineality(rays, lineality):
+    # the Fraction reduction the DD engine used before it went integer-only:
+    # zero each ray at the pivots of the lineality's rational rref
+    if not lineality or not rays:
+        return list(rays)
+    reduced, pivots = rref(lineality)
+    out = []
+    for r in rays:
+        v = list(r)
+        for row, p in zip(reduced, pivots):
+            f = v[p]
+            if f != 0:
+                v = [x - f * y for x, y in zip(v, row)]
+        out.append(primitive_direction(v))
+    return out
+
+
+@st.composite
+def constraint_systems(draw):
+    """(dim, constraints): small integer systems, zero rows allowed; a third
+    of them closed under negation, so the cone is all lineality."""
+    dim = draw(st.integers(min_value=0, max_value=7))
+    rows = draw(st.lists(st.tuples(*[st.integers(min_value=-4, max_value=4)] * dim),
+                         max_size=9))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        rows += [tuple(-x for x in r) for r in rows]
+    return dim, rows
+
+
+@given(constraint_systems())
+@example((0, []))
+@example((3, []))
+@example((3, [(0, 0, 0)]))
+@example((3, [(1, -2, 0), (-1, 2, 0)]))
+@example((4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_halfspace_description_matches_fraction_oracle(system):
+    dim, rows = system
+    raw = []
+    reduce = cones._reduce_mod_lineality
+
+    def spy(rays, lineality):
+        raw.extend(rays)
+        return reduce(rays, lineality)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "_reduce_mod_lineality", spy)
+        lineality, rays = cones._halfspace_description(dim, rows)
+    expected = kernel_basis(sorted(set(rows)), ncols=dim)
+    assert lineality == expected
+    assert rays == tuple(sorted(set(_fraction_reduce_mod_lineality(raw, expected))))
+    for r in rays:
+        assert all(dot(a, r) >= 0 for a in rows)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(min_value=-5, max_value=5)] * n), max_size=6)))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_integer_echelon_is_positive_multiple_of_rref(rows):
+    # _echelon on any integer rows, in either column order, against the
+    # rational rref (the backward order is rref of the mirrored columns)
+    if not rows:
+        return
+    n = len(rows[0])
+    for columns in (list(range(n)), list(range(n - 1, -1, -1))):
+        reduced, pivots = rref([[r[c] for c in columns] for r in rows])
+        got = cones._echelon(rows, columns)
+        assert [p for p, _ in got] == [columns[p] for p in pivots]
+        for (_, row), ref in zip(got, reduced):
+            assert primitive_direction([row[c] for c in columns]) == \
+                primitive_direction(ref)

@@ -40,10 +40,10 @@ def test_p2_validates():
 
 
 # double description runs of validate: one per maximal cone, then per pair
-# the intersection and the two duals its equality test with the common face
-# needs (neither when the intersection is the zero cone)
-VALIDATE_DD_RUNS = {"p1": 3, "p2": 12, "hirzebruch-f1": 18, "football": 3,
-                    "gerby-p1": 3, "p1xfootball": 18, "p2-c2": 12}
+# the intersection and the dual of the common face its generators are tested
+# against (none when the intersection is the zero cone)
+VALIDATE_DD_RUNS = {"p1": 3, "p2": 9, "hirzebruch-f1": 14, "football": 3,
+                    "gerby-p1": 3, "p1xfootball": 14, "p2-c2": 9}
 
 
 def test_all_shipped_fixtures_validate(dd_runs):
@@ -62,6 +62,48 @@ def test_overlapping_cones_fail_face_check():
     report = validate(fan)
     by_name = {c.name: c for c in report.checks}
     assert not by_name["pairwise_intersections"].passed
+
+
+HEXAGON = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+HEXAGON_RING = [(i, (i + 1) % 6) for i in range(6)]
+PRISM_RING = [(i, (i + 1) % 6, 6 + s) for i in range(6) for s in (0, 1)]
+
+
+def _hexagon(cones):
+    return StackyFan(AbelianGroupSpec(2), tuple(NElement(v) for v in HEXAGON),
+                     cones)
+
+
+def _prism(cones):
+    rays = [(x, y, 0) for x, y in HEXAGON] + [(0, 0, 1), (0, 0, -1)]
+    return StackyFan(AbelianGroupSpec(3), tuple(NElement(v) for v in rays),
+                     cones)
+
+
+@pytest.mark.parametrize("fan, failed", [
+    (_hexagon(HEXAGON_RING[:2] + HEXAGON_RING[3:]), {
+        "complete": "ridges not shared by exactly 2 cones: {(2,): 1, (3,): 1}"}),
+    (_hexagon([(0, 2)] + HEXAGON_RING[1:]), {
+        "pairwise_intersections": "non-face intersections: [((0, 2), (1, 2))]",
+        "complete": "ridges not shared by exactly 2 cones: {(2,): 3, (1,): 1}"}),
+    (_hexagon([(0, 2), (2, 4), (4, 0), (1, 2)]), {
+        "pairwise_intersections": "non-face intersections: [((0, 2), (1, 2))]",
+        "complete": "rays in no maximal cone: [3, 5]"}),
+    (_prism(PRISM_RING[1:]), {
+        "complete": "ridges not shared by exactly 2 cones: "
+                    "{(0, 1): 1, (1, 6): 1, (0, 6): 1}"}),
+    (_prism([(0, 2, 6)] + PRISM_RING[1:]), {
+        "pairwise_intersections": "non-face intersections: [((0, 2, 6), "
+        "(0, 1, 7)), ((0, 2, 6), (1, 2, 6)), ((0, 2, 6), (1, 2, 7))]",
+        "complete": "ridges not shared by exactly 2 cones: "
+                    "{(2, 6): 3, (0, 2): 1, (0, 1): 1, (1, 6): 1}"}),
+], ids=["hexagon-dropped", "hexagon-overlap", "hexagon-overlap-triangle",
+        "prism-dropped", "prism-overlap"])
+def test_polygon_fans_with_dropped_or_overlapping_cones(fan, failed):
+    # a dropped cone fails completeness only; an overlap also fails the
+    # face check, which names every pair whose intersection is not a face
+    report = validate(fan)
+    assert {c.name: c.detail for c in report.checks if not c.passed} == failed
 
 
 def test_zero_ray_fails():

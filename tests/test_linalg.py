@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -139,10 +140,51 @@ def test_primitive_recomposition(coords):
             primitive(tuple(coords))
         return
     w, c = primitive(tuple(coords))
-    from math import gcd
     assert c > 0
     assert gcd(*(abs(a) for a in w)) == 1
     assert tuple(c * a for a in w) == tuple(coords)
+
+
+def _fraction_primitive_direction(v):
+    # the Fraction route every vector took before the integer fast path
+    if all(a == 0 for a in v):
+        raise ValueError("zero vector has no direction")
+    fracs = [Fraction(a) for a in v]
+    mul = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * mul) for f in fracs]
+    g = gcd(*(abs(a) for a in ints))
+    return tuple(a // g for a in ints)
+
+
+# small and zero entries make common factors likely; the wide range reaches
+# integers past 64 bits
+int_entries = st.one_of(st.just(0), st.integers(min_value=-12, max_value=12),
+                        st.integers(min_value=-2 ** 80, max_value=2 ** 80))
+fraction_entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+direction_vectors = st.one_of(
+    st.lists(int_entries, max_size=7),
+    st.lists(fraction_entries, max_size=7),
+    st.lists(st.one_of(int_entries, fraction_entries), max_size=7),
+    # a common factor past 64 bits over small multipliers
+    st.tuples(st.integers(min_value=2 ** 64, max_value=2 ** 90),
+              st.lists(st.integers(min_value=-6, max_value=6), max_size=7)
+              ).map(lambda fv: [fv[0] * a for a in fv[1]]),
+)
+
+
+@given(direction_vectors)
+@settings(max_examples=300, deadline=None)
+def test_primitive_direction_matches_fraction_route(v):
+    try:
+        expected = _fraction_primitive_direction(v)
+    except ValueError:
+        with pytest.raises(ValueError):
+            primitive_direction(v)
+        return
+    got = primitive_direction(v)
+    assert got == expected
+    assert all(type(a) is int for a in got)
+    assert primitive_direction(tuple(v)) == expected
 
 
 square_systems = st.integers(min_value=1, max_value=4).flatmap(
