@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import floor, prod
 from typing import Sequence
 
-from .fan import NElement, StackyFan
-from .linalg import IntVec, det, inverse, mat_vec, solve_square
+from .fan import NElement, StackyFan, coeffs_in_cone
+from .linalg import IntVec, det, inverse, mat_vec
 
 # enumerate_box refuses more bounding-box candidates or box elements: a scan
 # that long takes seconds; the largest fixture, test or benchmark input needs 812
@@ -87,11 +87,8 @@ def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> ACoeffs:
     if len(y) != fan.dim:
         raise ValueError(f"point has length {len(y)}, fan has dimension {fan.dim}")
     for cone in fan.max_cones:
-        if len(cone) != fan.dim:
-            continue
-        rows = tuple(zip(*(fan.rays[i].free for i in cone)))
-        sol = solve_square(rows, y)
-        if sol is not None and all(a >= 0 for a in sol):
+        sol = coeffs_in_cone(fan, cone, y)
+        if sol is not None:
             return ACoeffs.from_pairs(zip(cone, sol))
     raise IncompleteFanError(f"fan not complete at {y}: no maximal cone contains it")
 

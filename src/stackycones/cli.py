@@ -313,22 +313,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.equal else EXIT_MISMATCH
 
 
+def _parse_ints(text: str, part: str) -> tuple[int, ...]:
+    # blank is the empty list; an empty field in a non-empty one is an error
+    try:
+        return tuple([int(x) for x in text.split(",")]) if text.strip() else ()
+    except ValueError:
+        raise ValueError(f"cannot parse {part} part {text!r}") from None
+
+
 def _parse_b(text: str, fan: StackyFan) -> NElement:
     parts = text.split(";")
     if len(parts) > 2:
         raise ValueError("expected at most one ';' in --b")
-    try:
-        free = tuple(int(x) for x in parts[0].split(",") if x.strip() != "")
-    except ValueError:
-        raise ValueError(f"cannot parse free part {parts[0]!r}") from None
-    torsion: tuple[int, ...]
-    if len(parts) == 2 and parts[1].strip():
-        try:
-            torsion = tuple(int(x) for x in parts[1].split(",") if x.strip() != "")
-        except ValueError:
-            raise ValueError(f"cannot parse torsion part {parts[1]!r}") from None
-    else:
-        torsion = (0,) * fan.group.torsion_rank
+    free = _parse_ints(parts[0], "free")
+    # a blank torsion part means zero residues
+    torsion = ((_parse_ints(parts[1], "torsion") if len(parts) == 2 else ())
+               or (0,) * fan.group.torsion_rank)
     if len(free) != fan.dim:
         raise ValueError(f"free part has {len(free)} coordinates, fan has rank {fan.dim}")
     if len(torsion) != fan.group.torsion_rank:

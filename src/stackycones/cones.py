@@ -6,21 +6,22 @@ double description run: the generators of C are inserted one at a time as
 half-space constraints on the dual side, while the dual-side description
 keeps an explicit lineality basis plus extreme rays modulo that lineality.
 The run is integer-only: every intermediate vector is a primitive integer
-vector, and the canonical forms at the end come from a fraction-free
-echelon form of the lineality basis the loop ends with, so no ``Fraction``
-is built.  Outputs are canonical (primitive generators, lexicographically
+vector, and the canonical forms at the end come from the fraction-free
+echelon form of the lineality basis the loop ends with (``linalg._echelon``,
+the package's one Gauss-Jordan elimination), so no ``Fraction`` is built.  Outputs are canonical (primitive generators, lexicographically
 sorted), so they are stable across runs and usable in golden files.
 """
 
 from __future__ import annotations
 
 import operator
-from math import gcd
 from typing import Sequence
 
 from .linalg import (
     Number,
     IntVec,
+    _echelon,
+    _eliminate,
     canonical_line_direction,
     dot,
     is_zero_vec,
@@ -59,8 +60,10 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
     recording which are tight at it.
 
     The loop's final lineality vectors span the kernel of the constraints,
-    and the kernel's canonical basis (the one ``linalg.kernel_basis``
-    gives) is read off them.  That basis has one vector per free column j,
+    and the kernel's canonical basis is read off them with the one
+    fraction-free elimination, ``linalg._echelon``, that also gives
+    ``linalg.kernel_basis`` (which runs it on the constraints instead, with
+    the same result).  That basis has one vector per free column j,
     with its last nonzero at j and zeros at the other free columns, so it
     is the reduced echelon form taken from the last column backwards, each
     row primitive with first nonzero coordinate positive, sorted.  With no
@@ -143,44 +146,6 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
         for _, row in _echelon(lin, range(dim - 1, -1, -1))]))
     ray_vectors = _reduce_mod_lineality([r for r, _ in rays], lin_canonical)
     return lin_canonical, tuple(sorted(set(ray_vectors)))
-
-
-def _echelon(rows: Sequence[IntVec], columns: Sequence[int]
-             ) -> list[tuple[int, list[int]]]:
-    """Reduced echelon form of integer rows, fraction-free, taking pivots
-    in the given column order.
-
-    Returns (pivot column, row) pairs in pivot order: each row is positive
-    at its own pivot and zero at every other pivot.  Every row is a
-    positive multiple of the corresponding row of the rational reduced
-    echelon form, because elimination (see _eliminate) only scales by
-    positive numbers.
-    """
-    rest = [list(r) for r in rows]
-    done: list[tuple[int, list[int]]] = []
-    for c in columns:
-        if not rest:
-            break
-        k = next((i for i, r in enumerate(rest) if r[c]), None)
-        if k is None:
-            continue
-        q = rest.pop(k)
-        if q[c] < 0:
-            q = [-y for y in q]
-        rest = [_eliminate(r, q, c) if r[c] else r for r in rest]
-        rest = [r for r in rest if r is not None]
-        done = [(p, _eliminate(r, q, c) if r[c] else r) for p, r in done]
-        done.append((c, q))
-    return done
-
-
-def _eliminate(r: Sequence[int], q: Sequence[int], c: int) -> list[int] | None:
-    """The primitive positive multiple of r - (r[c] / q[c]) * q, for
-    q[c] > 0; None when that is zero."""
-    qc, f = q[c], r[c]
-    v = [qc * x - f * y for x, y in zip(r, q)]
-    g = gcd(*v)
-    return [x // g for x in v] if g else None
 
 
 def _reduce_mod_lineality(rays: Sequence[IntVec],

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .cones import Cone, intersect
-from .linalg import IntVec, primitive, solve_square
+from .linalg import IntVec, RatVec, primitive, solve_square
 
 
 class FanStructureError(ValueError):
@@ -164,11 +164,15 @@ def _cone_of(fan: StackyFan, ray_indices: Sequence[int]) -> Cone:
     return Cone(fan.dim, [fan.rays[i].free for i in ray_indices])
 
 
-def _point_in_simplicial_cone(fan: StackyFan, cone: Sequence[int],
-                              y: Sequence) -> bool:
+def coeffs_in_cone(fan: StackyFan, cone: Sequence[int], y: Sequence[int]
+                   ) -> Optional[RatVec]:
+    """The coefficients of y on the rays of a full-dimensional simplicial
+    cone when y lies in it (all of them >= 0); None otherwise."""
+    if len(cone) != fan.dim:
+        return None
     rows = tuple(zip(*(fan.rays[i].free for i in cone)))
-    sol = solve_square(rows, tuple(y)) if len(cone) == fan.dim else None
-    return sol is not None and all(a >= 0 for a in sol)
+    sol = solve_square(rows, tuple(y))
+    return sol if sol is not None and all(a >= 0 for a in sol) else None
 
 
 def validate(fan: StackyFan) -> ValidationReport:
@@ -275,8 +279,8 @@ def _completeness_check(fan: StackyFan) -> CheckResult:
         rd = ray_data(fan)
         for cone in fan.max_cones:
             anti = tuple(-sum(rd[i].w[j] for i in cone) for j in range(d))
-            if not any(_point_in_simplicial_cone(fan, c, anti)
-                       for c in fan.max_cones):
+            if all(coeffs_in_cone(fan, c, anti) is None
+                   for c in fan.max_cones):
                 problems.append(
                     f"-(sum of primitive rays of {cone}) is not covered")
                 break

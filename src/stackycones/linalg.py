@@ -6,6 +6,11 @@ tuples of row tuples.  There is no floating point anywhere in this
 package: cone membership and strict inequalities downstream must be
 decided exactly.
 
+Elimination is fraction-free, in two integer loops: ``_echelon``
+(Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``solve_square``,
+``inverse`` and the cone engine, ``_bareiss`` behind ``rank`` and ``det``.
+Rows are cleared of denominators first; only results are ``Fraction``s.
+
 Tuples built on every call of the sector pipeline are made from lists,
 ``tuple([...])``.  CPython builds ``tuple(<generator>)`` by resizing, so it
 never takes a tuple from the free list of its final size but frees into
@@ -16,7 +21,7 @@ each) and grow the process's resident memory.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence, Union
 
 Number = Union[int, Fraction]
@@ -73,20 +78,12 @@ def primitive(v: Sequence[int]) -> tuple[IntVec, int]:
 
 def primitive_direction(v: Sequence[Number]) -> IntVec:
     """Scale a nonzero rational vector to the primitive integer vector on
-    the same ray (direction preserved).  An all-int vector is divided by
-    its gcd without building a Fraction."""
-    if all(type(a) is int for a in v):
-        g = gcd(*v)
-        if g == 0:
-            raise ValueError("zero vector has no direction")
-        return tuple([a // g for a in v])
-    if all(a == 0 for a in v):
+    the same ray (direction preserved), without building a Fraction."""
+    ints = v if all(type(a) is int for a in v) else _clear_denominators(v)[0]
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no direction")
-    fracs = [Fraction(a) for a in v]
-    mul = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mul) for f in fracs]
-    g = gcd(*(abs(a) for a in ints))
-    return tuple(a // g for a in ints)
+    return tuple([a // g for a in ints])
 
 
 def canonical_line_direction(v: Sequence[Number]) -> IntVec:
@@ -99,17 +96,56 @@ def canonical_line_direction(v: Sequence[Number]) -> IntVec:
     raise ValueError("zero vector has no direction")
 
 
+def _clear_denominators(v: Sequence[Number]) -> tuple[list[int], int]:
+    # (mul * v, mul) for the least mul > 0 making v integral, read off
+    # numerators and denominators (ints have both) without a Fraction
+    mul = lcm(*(a.denominator for a in v))
+    return [a.numerator * (mul // a.denominator) for a in v], mul
+
+
 def _int_rows(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], int]:
-    # Row scaling (by positive numbers) preserves rank and pivot structure;
-    # the product of the scale factors is returned for det.  Entries are int
-    # or Fraction, both of which have a denominator.
-    out = []
-    scale = 1
-    for row in rows:
-        mul = lcm(*(a.denominator for a in row))
-        scale *= mul
-        out.append([int(a * mul) for a in row])
-    return out, scale
+    # Row scaling by positive numbers preserves rank, pivots and the
+    # solutions of an augmented system; the scale's product is for det.
+    cleared = [_clear_denominators(row) for row in rows]
+    return [ints for ints, _ in cleared], prod([mul for _, mul in cleared])
+
+
+def _echelon(rows: Sequence[Sequence[int]], columns: Sequence[int]
+             ) -> list[tuple[int, list[int]]]:
+    """Reduced echelon form of integer rows, fraction-free, taking pivots
+    in the given column order.
+
+    Returns (pivot column, row) pairs in pivot order: each row is positive
+    at its own pivot and zero at every other pivot.  Every row is a
+    positive multiple of the corresponding row of the rational reduced
+    echelon form, because elimination (see _eliminate) only scales by
+    positive numbers.
+    """
+    rest = [list(r) for r in rows]
+    done: list[tuple[int, list[int]]] = []
+    for c in columns:
+        if not rest:
+            break
+        k = next((i for i, r in enumerate(rest) if r[c]), None)
+        if k is None:
+            continue
+        q = rest.pop(k)
+        if q[c] < 0:
+            q = [-y for y in q]
+        rest = [_eliminate(r, q, c) if r[c] else r for r in rest]
+        rest = [r for r in rest if r is not None]
+        done = [(p, _eliminate(r, q, c) if r[c] else r) for p, r in done]
+        done.append((c, q))
+    return done
+
+
+def _eliminate(r: Sequence[int], q: Sequence[int], c: int) -> list[int] | None:
+    """The primitive positive multiple of r - (r[c] / q[c]) * q, for
+    q[c] > 0; None when that is zero."""
+    qc, f = q[c], r[c]
+    v = [qc * x - f * y for x, y in zip(r, q)]
+    g = gcd(*v)
+    return [x // g for x in v] if g else None
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int]:
@@ -164,32 +200,15 @@ def det(rows: Sequence[Sequence[Number]]) -> Fraction:
 
 
 def rref(rows: Sequence[Sequence[Number]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
+    """Reduced row echelon form over the rationals: the rows of _echelon
+    divided by their pivots.
 
     Returns (nonzero rows, pivot column indices).
     """
-    m = [[Fraction(a) for a in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+    m = _int_rows(rows)[0]
+    done = _echelon(m, range(len(m[0]) if m else 0))
+    return ([[Fraction(x, row[p]) for x in row] for p, row in done],
+            [p for p, _ in done])
 
 
 def kernel_basis(rows: Sequence[Sequence[Number]], ncols: Optional[int] = None) -> tuple[IntVec, ...]:
@@ -197,23 +216,42 @@ def kernel_basis(rows: Sequence[Sequence[Number]], ncols: Optional[int] = None) 
 
     Each basis vector is scaled to a primitive integer vector whose first
     nonzero coordinate is positive; the basis is sorted lexicographically.
-    ``ncols`` must be given for a matrix with no rows.
+    There is one vector per free column j of the echelon form: it is
+    nonzero at j and zero at every other free column.  ``ncols`` must be
+    given for a matrix with no rows.
     """
     if not rows:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs an explicit column count")
         return tuple(unit_vector(ncols, i) for i in range(ncols))
     n = len(rows[0])
-    reduced, pivots = rref(rows)
-    free_cols = [j for j in range(n) if j not in pivots]
+    done = _echelon(_int_rows(rows)[0], range(n))
+    pivots = {p for p, _ in done}
     basis = []
-    for j in free_cols:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[j]
+    for j in range(n):
+        if j in pivots:
+            continue
+        # x_j = 1 and x_p = -row[j] / row[p], scaled by the pivots' lcm
+        mul = lcm(*(row[p] for p, row in done if row[j]))
+        v = [0] * n
+        v[j] = mul
+        for p, row in done:
+            v[p] = -row[j] * (mul // row[p])
         basis.append(canonical_line_direction(v))
     return tuple(sorted(basis))
+
+
+def _solve(rows: Sequence[Sequence[Number]], rhs: Sequence[Sequence[Number]]
+           ) -> Optional[list[list[Fraction]]]:
+    # rows of X with A X = B, for square A and the rows of B; None when A
+    # is singular.  Pivots are taken in A's n columns only, so there are n
+    # of them exactly when A is nonsingular.
+    n = len(rows)
+    m = _int_rows([list(a) + list(b) for a, b in zip(rows, rhs)])[0]
+    done = _echelon(m, range(n))
+    if len(done) < n:
+        return None
+    return [[Fraction(x, row[p]) for x in row[n:]] for p, row in done]
 
 
 def solve_square(rows: Sequence[Sequence[Number]], y: Sequence[Number]) -> Optional[RatVec]:
@@ -223,10 +261,8 @@ def solve_square(rows: Sequence[Sequence[Number]], y: Sequence[Number]) -> Optio
         raise ValueError("solve_square needs a square matrix")
     if len(y) != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has length {len(y)}")
-    reduced, pivots = rref([list(row) + [b] for row, b in zip(rows, y)])
-    if pivots != list(range(n)):
-        return None
-    return tuple(row[n] for row in reduced)
+    sol = _solve(rows, [[b] for b in y])
+    return None if sol is None else tuple([x for x, in sol])
 
 
 def inverse(rows: Sequence[Sequence[Number]]) -> Optional[Matrix]:
@@ -234,8 +270,5 @@ def inverse(rows: Sequence[Sequence[Number]]) -> Optional[Matrix]:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse needs a square matrix")
-    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                            for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in reduced)
+    sol = _solve(rows, [unit_vector(n, i) for i in range(n)])
+    return None if sol is None else tuple([tuple(row) for row in sol])

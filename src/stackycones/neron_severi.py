@@ -155,22 +155,18 @@ def curve_class_to_v_orb(spaces: AmbientSpaces, curve: OrbCurveClass) -> RatVec:
 
 
 def curve_class_from_v_orb(spaces: AmbientSpaces, v: Sequence[Number]) -> OrbCurveClass:
-    """Coordinates of a V_orb vector lying in the kernel of beta'_orb."""
-    from .linalg import solve_square
-
-    if len(v) != spaces.n + spaces.t:
+    """Coordinates of a V_orb vector lying in the kernel of beta'_orb: each
+    kernel basis vector k is the only one nonzero at some (free) column j,
+    where v's coordinate on k is v[j] / k[j]; sector coordinates are v's."""
+    n, ker = spaces.n, spaces.ker_beta_prime
+    if len(v) != n + spaces.t:
         raise ValueError("dimension mismatch")
     if any(dot(row, v) != 0 for row in spaces.beta_prime_orb):
         raise ValueError("vector is not in the kernel of beta'_orb")
-    # The basis matrix has full column rank; solve the normal equations
-    # exactly (Gram matrix of an independent set is invertible over Q).
-    basis = spaces.curve_basis
-    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    rhs = tuple(dot(a, v) for a in basis)
-    sol = solve_square(gram, rhs)
-    if sol is None:
-        raise AssertionError("curve basis Gram matrix is singular")
-    return OrbCurveClass(sol)
+    free = [next(j for j in range(n) if k[j] and sum(1 for o in ker if o[j]) == 1)
+            for k in ker]
+    return OrbCurveClass(tuple([Fraction(v[j], k[j]) for j, k in zip(free, ker)]
+                               + [Fraction(x) for x in v[n:]]))
 
 
 def ray_divisor_classes(spaces: AmbientSpaces, rho: int

@@ -27,7 +27,7 @@ verifier dualizes the movable cone once more and checks, by containment in
 both directions, that the result is the cone on the lambda_orb(Xi*_eta).
 Both sides are double description runs on the same restricted functionals,
 so the check confirms the engine's biduality on each input; it is not an
-independent route.  Computing Mov by circuit enumeration (ROADMAP item 4)
+independent route.  Computing Mov by circuit enumeration (ROADMAP item 2)
 would give one that shares no engine.
 """
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,12 +115,77 @@ def dd_runs(monkeypatch) -> list:
 
 
 @pytest.fixture
-def elimination_runs(monkeypatch) -> dict[str, list]:
-    """One entry per call of the Fraction eliminations linalg.rref and
-    linalg.kernel_basis made while the test runs, keyed by function name
-    (kernel_basis's own rref call counts under rref too)."""
-    return {name: _count_calls(monkeypatch, linalg, name)
-            for name in ("rref", "kernel_basis")}
+def linalg_fractions(monkeypatch) -> list:
+    """One entry per Fraction that stackycones.linalg constructs by name
+    while the test runs (results of rref, solve_square, inverse and det;
+    the integer eliminations build none)."""
+    built = []
+    original = linalg.Fraction
+
+    def counting(*args):
+        value = original(*args)
+        built.append(value)
+        return value
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    return built
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination in Fraction
+    arithmetic, an oracle that shares no code with linalg's fraction-free
+    elimination.  Returns (nonzero rows, pivot column indices)."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [a * inv for a in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def fraction_kernel_basis(rows, ncols):
+    """The canonical kernel basis of linalg.kernel_basis, read off
+    fraction_rref: one vector per free column, primitive with first
+    nonzero coordinate positive, sorted."""
+    if not rows:
+        return tuple(linalg.unit_vector(ncols, i) for i in range(ncols))
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[j]
+        basis.append(linalg.canonical_line_direction(v))
+    return tuple(sorted(basis))
+
+
+def fraction_solve(rows, rhs):
+    """X with A X = B for square A, through fraction_rref, given the rows
+    of A and of B (B = I gives the inverse); None when A is singular."""
+    n = len(rows)
+    reduced, pivots = fraction_rref([list(a) + list(b) for a, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def pytest_addoption(parser):

@@ -3,7 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import all_fixture_fans, beta_variant, fixture_fan, random_n_element
+from conftest import (
+    all_fixture_fans,
+    beta_variant,
+    fixture_fan,
+    fraction_solve,
+    random_n_element,
+)
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +24,7 @@ from stackycones.boxes import (
     twisted_sectors,
 )
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan
-from stackycones.linalg import det, inverse, mat_vec
+from stackycones.linalg import det, mat_vec, unit_vector
 
 
 def test_football_coeffs_positive_side():
@@ -164,7 +170,7 @@ def _rational_parallelepiped_points(vectors):
     # the scan before it went integer-only: solve every bounding-box
     # candidate over the rationals
     d = len(vectors)
-    inv = inverse(tuple(zip(*vectors)))
+    inv = fraction_solve(tuple(zip(*vectors)), [unit_vector(d, i) for i in range(d)])
     lo = [sum(min(0, v[j]) for v in vectors) for j in range(d)]
     hi = [sum(max(0, v[j]) for v in vectors) for j in range(d)]
     out = []

@@ -104,11 +104,18 @@ def test_class_of_1ps_untwisted():
     assert "decomposition = 5*Xi[rho0]" in out
 
 
-def test_class_of_1ps_bad_b_exit_64():
+def test_class_of_1ps_bad_b_exit_64(capsys):
     code, _ = run_cli("class-of-1ps", FOOTBALL, "--b=1,2,3")
     assert code == 64
     code, _ = run_cli("class-of-1ps", FOOTBALL, "--b=x")
     assert code == 64
+    # an empty field is an error, not a skipped coordinate
+    for path, b in ((P2, "1,,1"), (FOOTBALL, "-3,"), (FOOTBALL, ",-3")):
+        capsys.readouterr()
+        code, out = run_cli("class-of-1ps", path, f"--b={b}")
+        assert code == 64, b
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: "), b
 
 
 def test_class_of_1ps_torsion_part():

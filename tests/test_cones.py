@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stackycones import cones
+from conftest import fraction_kernel_basis, fraction_rref
+
+from stackycones import cones, linalg
 from stackycones.cones import Cone, intersect
-from stackycones.linalg import dot, kernel_basis, primitive_direction, rref
+from stackycones.linalg import dot, primitive_direction
 
 
 def test_dual_quadrant_self_dual():
@@ -152,7 +154,7 @@ def _fraction_reduce_mod_lineality(rays, lineality):
     # zero each ray at the pivots of the lineality's rational rref
     if not lineality or not rays:
         return list(rays)
-    reduced, pivots = rref(lineality)
+    reduced, pivots = fraction_rref(lineality)
     out = []
     for r in rays:
         v = list(r)
@@ -195,7 +197,7 @@ def test_halfspace_description_matches_fraction_oracle(system):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cones, "_reduce_mod_lineality", spy)
         lineality, rays = cones._halfspace_description(dim, rows)
-    expected = kernel_basis(sorted(set(rows)), ncols=dim)
+    expected = fraction_kernel_basis(sorted(set(rows)), dim)
     assert lineality == expected
     assert rays == tuple(sorted(set(_fraction_reduce_mod_lineality(raw, expected))))
     for r in rays:
@@ -212,8 +214,8 @@ def test_integer_echelon_is_positive_multiple_of_rref(rows):
         return
     n = len(rows[0])
     for columns in (list(range(n)), list(range(n - 1, -1, -1))):
-        reduced, pivots = rref([[r[c] for c in columns] for r in rows])
-        got = cones._echelon(rows, columns)
+        reduced, pivots = fraction_rref([[r[c] for c in columns] for r in rows])
+        got = linalg._echelon(rows, columns)
         assert [p for p, _ in got] == [columns[p] for p in pivots]
         for (_, row), ref in zip(got, reduced):
             assert primitive_direction([row[c] for c in columns]) == \

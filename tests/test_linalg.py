@@ -3,6 +3,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
+from conftest import fraction_kernel_basis, fraction_rref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,8 +121,11 @@ def test_kernel_property(rows):
     for k in basis:
         assert all(dot(row, k) == 0 for row in rows)
     assert len(basis) == len(rows[0]) - rank(rows)
-    # pivot count of the reduced form is an independent rank oracle
-    assert rank(rows) == len(rref(rows)[1])
+    # Gauss-Jordan in Fraction arithmetic is an independent oracle for the
+    # fraction-free reduced form, the canonical kernel and the rank
+    assert rref(rows) == fraction_rref(rows)
+    assert basis == fraction_kernel_basis(rows, len(rows[0]))
+    assert rank(rows) == len(fraction_rref(rows)[1])
     # so is sympy, which also gives the kernel to compare spans with
     oracle = sympy.Matrix(rows)
     assert rank(rows) == oracle.rank()

@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import all_fixture_fans, fixture_fan, random_n_element
+from conftest import (
+    all_fixture_fans,
+    beta_variant,
+    fixture_fan,
+    fraction_solve,
+    random_n_element,
+)
 
 from stackycones.boxes import twisted_sectors
 from stackycones.linalg import dot, rank, unit_vector
@@ -129,12 +135,33 @@ def test_duality_of_pairing_with_u_v_pairing():
             assert pair(lambda_orb(spaces, u), curve) == dot(u, v)
 
 
+def _gram_coordinates(spaces, v):
+    # the Gram normal equations of the curve basis, solved by Fraction
+    # Gauss-Jordan: the coordinates of v when it lies in the basis's span
+    basis = spaces.curve_basis
+    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
+    x = fraction_solve(gram, [(dot(a, v),) for a in basis])
+    return None if x is None else tuple(row[0] for row in x)
+
+
 def test_curve_class_round_trip():
     _, _, spaces = _spaces("p1xfootball")
     curve = OrbCurveClass((2, Fraction(1, 3), -1))
     v = curve_class_to_v_orb(spaces, curve)
     back = curve_class_from_v_orb(spaces, v)
     assert back.coords == tuple(Fraction(x) for x in curve.coords)
+    rng = random.Random(11)
+    fans = all_fixture_fans()
+    fans += [beta_variant(fans[k % len(fans)], rng) for k in range(20)]
+    for fan in fans:
+        spaces = build_spaces(fan, twisted_sectors(fan))
+        for _ in range(3):
+            coords = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           for _ in range(spaces.dim_ns_orb))
+            v = curve_class_to_v_orb(spaces, OrbCurveClass(coords))
+            back = curve_class_from_v_orb(spaces, v)
+            assert back.coords == coords, fan.name
+            assert back.coords == _gram_coordinates(spaces, v), fan.name
 
 
 def test_curve_class_from_v_orb_rejects_non_kernel_vectors():
