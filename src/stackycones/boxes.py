@@ -5,24 +5,26 @@ sectors).
 A lattice point y decomposes uniquely as y = sum_rho a_rho(y) * b_rho with
 a_rho(y) >= 0 supported on the rays of the minimal cone containing y.  Box
 elements are the y with every a_rho(y) < 1, crossed with the torsion part
-of the group.  The canonical ordering fixed here (rig part lexicographic,
-then torsion lexicographic) is the index order used by every downstream
-coordinate system.
+of the group.  Those of one full-dimensional maximal cone with ray matrix
+B represent the group Z^d / B Z^d of order |det B|, and are walked as that
+group (Borisov, Chen and Smith, "The orbifold Chow ring of toric
+Deligne-Mumford stacks", 2005).  The canonical ordering fixed here (rig
+part lexicographic, then torsion lexicographic) is the index order used by
+every downstream coordinate system.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, prod
+from math import floor, lcm, prod
 from typing import Sequence
 
 from .fan import NElement, StackyFan, coeffs_in_cone
-from .linalg import IntVec, det, inverse, mat_vec
+from .linalg import IntVec, _echelon, det, mat_vec, unit_vector
 
-# enumerate_box refuses more bounding-box candidates or box elements: a scan
-# that long takes seconds; the largest fixture, test or benchmark input needs 812
+# enumerate_box refuses fans with more box elements: walking that many takes
+# seconds; the largest fixture, test or benchmark input has 522
 ENUMERATION_LIMIT = 10 ** 5
 
 
@@ -32,7 +34,7 @@ class IncompleteFanError(RuntimeError):
 
 
 class EnumerationLimitError(ValueError):
-    """The box of a fan is too large to enumerate within ENUMERATION_LIMIT."""
+    """The box of a fan could have more than ENUMERATION_LIMIT elements."""
 
 
 @dataclass(frozen=True)
@@ -114,48 +116,45 @@ def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
 def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
                                ) -> list[tuple[IntVec, ACoeffs]]:
     """Integer points of the half-open parallelepiped spanned by the b_rho
-    of one maximal cone, i.e. {sum a_rho b_rho : 0 <= a_rho < 1}.
+    of one maximal cone, i.e. {sum a_rho b_rho : 0 <= a_rho < 1}, sorted.
 
-    The integer bounding box of the closed parallelepiped is scanned and
-    every candidate is accepted or rejected in integers: with size = |det|
-    of the ray matrix and the integer matrix adj = size * inverse, a
-    candidate p has coefficients adj * p / size, so it lies in the
-    parallelepiped iff 0 <= (adj * p)_i < size for every i.  Fractions are
-    built for accepted points only; the number of points returned is size.
+    One integer elimination of [B | I], B the ray matrix, gives rows
+    k_p (e_p | row p of B^-1); with m the lcm of the pivots, adj = m B^-1 is
+    integral and a point p has coefficients adj p / m.  So p -> adj p mod m
+    maps Z^d / B Z^d onto the subgroup of (Z/m)^d that adj's columns
+    generate, and each element c of it, taken in [0, m)^d, gives the point
+    B c / m.  The walk builds that subgroup, exactly |det B| elements.
     """
     d = fan.dim
     vectors = [fan.rays[i].free for i in cone]
     if len(vectors) != d:
         raise ValueError("parallelepiped enumeration needs a full-dimensional cone")
     rows = tuple(zip(*vectors))
-    inv = inverse(rows)
-    if inv is None:
+    done = _echelon([row + unit_vector(d, j) for j, row in enumerate(rows)], range(d))
+    if len(done) < d:
         raise ValueError(f"cone {tuple(cone)} is not simplicial")
-    size = abs(int(det(rows)))
-    adj = tuple([tuple([int(x * size) for x in row]) for row in inv])
-    lo = [sum(min(0, v[j]) for v in vectors) for j in range(d)]
-    hi = [sum(max(0, v[j]) for v in vectors) for j in range(d)]
-    out = []
-    for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        a = mat_vec(adj, point)
-        if all(0 <= x < size for x in a):
-            out.append((point, ACoeffs.from_pairs(
-                (i, Fraction(x, size)) for i, x in zip(cone, a))))
-    return out
+    m = lcm(*(row[p] for p, row in done))
+    adj = [[x * (m // row[p]) % m for x in row[d:]] for p, row in done]
+    group = {(0,) * d}
+    for g in zip(*adj):
+        # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built so
+        # far, until k g lies in H
+        subgroup, step = list(group), g
+        while step not in group:
+            group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
+            step = tuple([(x + y) % m for x, y in zip(step, g)])
+    points = sorted((tuple([x // m for x in mat_vec(rows, c)]), c) for c in group)
+    return [(point, ACoeffs.from_pairs((i, Fraction(x, m)) for i, x in zip(cone, c) if x))
+            for point, c in points]
 
 
-def _enumeration_size(fan: StackyFan) -> tuple[int, int]:
-    """Bounding-box candidates summed over maximal cones, and the sum of
-    |det| over full-dimensional ones times the torsion group's order (an
-    upper bound on the number of box elements)."""
-    candidates = points = 0
-    for cone in fan.max_cones:
-        vectors = [fan.rays[i].free for i in cone]
-        # the bounding box's side j is the sum of |v[j]| (see the scan)
-        candidates += prod(1 + sum(abs(v[j]) for v in vectors) for j in range(fan.dim))
-        if len(cone) == fan.dim:
-            points += int(abs(det(tuple(zip(*vectors)))))
-    return candidates, points * prod(fan.group.torsion_orders)
+def _enumeration_size(fan: StackyFan) -> int:
+    """An upper bound on the number of box elements: the parallelepiped
+    point counts |det| of the full-dimensional maximal cones, summed, times
+    the torsion group's order."""
+    points = sum(int(abs(det(tuple(zip(*(fan.rays[i].free for i in cone))))))
+                 for cone in fan.max_cones if len(cone) == fan.dim)
+    return points * prod(fan.group.torsion_orders)
 
 
 def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
@@ -166,14 +165,14 @@ def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     cone (points with zero coefficients included, since any subset of a
     simplicial cone's rays spans a face), so the union over maximal cones
     is exhaustive.  Raises EnumerationLimitError, before enumerating, when
-    the bounding-box scan or the box itself would exceed ENUMERATION_LIMIT.
+    the box could have more than ENUMERATION_LIMIT elements, which also
+    bounds the points the walks build.
     """
-    candidates, elements = _enumeration_size(fan)
-    if max(candidates, elements) > ENUMERATION_LIMIT:
+    elements = _enumeration_size(fan)
+    if elements > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"fan '{fan.name}' is too large to enumerate: {candidates} "
-            f"bounding-box candidates, up to {elements} box elements "
-            f"(limit {ENUMERATION_LIMIT})")
+            f"fan '{fan.name}' is too large to enumerate: up to {elements} "
+            f"box elements (limit {ENUMERATION_LIMIT})")
     rig_points: dict[IntVec, ACoeffs] = {}
     for cone in fan.max_cones:
         for point, coeffs in cone_parallelepiped_points(fan, cone):

@@ -132,12 +132,15 @@ def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces
 
 
 def lambda_orb(spaces: AmbientSpaces, u: Sequence[Number]) -> OrbDivisorClass:
-    """Class of a U_orb vector: its pairing against the curve basis."""
-    if len(u) != spaces.n + spaces.t:
+    """Class of a U_orb vector: its pairing against the curve basis, whose
+    layout (see the module docstring) makes the sector part a copy of u's."""
+    n = spaces.n
+    if len(u) != n + spaces.t:
         raise ValueError(
-            f"expected a U_orb vector of length {spaces.n + spaces.t}, "
-            f"got {len(u)}")
-    return OrbDivisorClass(tuple(dot(u, k) for k in spaces.curve_basis))
+            f"expected a U_orb vector of length {n + spaces.t}, got {len(u)}")
+    rays = u[:n]
+    return OrbDivisorClass(tuple([dot(rays, k) for k in spaces.ker_beta_prime])
+                           + tuple(u[n:]))
 
 
 def pair(divisor: OrbDivisorClass, curve: OrbCurveClass) -> Number:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from stackycones import AbelianGroupSpec, NElement, StackyFan, cones, linalg, load_fan
+from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
+                         load_fan, orbcones)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
@@ -112,6 +113,35 @@ def dd_runs(monkeypatch) -> list:
     """One entry per double description run (call of
     cones._halfspace_description) made while the test runs."""
     return _count_calls(monkeypatch, cones, "_halfspace_description")
+
+
+@pytest.fixture
+def drop_last_dual_of_mov_ray(monkeypatch):
+    """Make the second DD run inside each verify_duality call, dual(Mov),
+    lose its last ray, so the verifier has a mismatch to find.  Returns
+    verify_duality wrapped to count those runs; the CLI calls the wrapper."""
+    real_dd, real_verify = cones._halfspace_description, orbcones.verify_duality
+    runs = None  # the DD runs of the verify_duality call in progress
+
+    def dd(dim, constraints):
+        lin, rays = real_dd(dim, constraints)
+        if runs is not None:
+            runs.append(None)
+            if len(runs) == 2:
+                return lin, rays[:-1]
+        return lin, rays
+
+    def verify(*args, **kwargs):
+        nonlocal runs
+        runs = []
+        try:
+            return real_verify(*args, **kwargs)
+        finally:
+            runs = None
+
+    monkeypatch.setattr(cones, "_halfspace_description", dd)
+    monkeypatch.setattr(cli, "verify_duality", verify)
+    return verify
 
 
 @pytest.fixture

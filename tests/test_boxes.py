@@ -183,13 +183,26 @@ def _rational_parallelepiped_points(vectors):
 
 @given(st.integers(min_value=1, max_value=3).flatmap(lambda d: st.lists(
     st.tuples(*[st.integers(min_value=-3, max_value=3)] * d),
-    min_size=d, max_size=d)))
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    min_size=d, max_size=d))
+    | st.lists(st.tuples(*[st.integers(min_value=-12, max_value=12)] * 2),
+               min_size=2, max_size=2))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 def test_parallelepiped_points_match_rational_scan(vectors):
-    # either orientation of the ray matrix, so det < 0 is covered
+    # either orientation of the ray matrix, so det < 0 is covered; the
+    # d = 2 family with entries up to 12 walks groups of up to 288 points
     assume(det(vectors) != 0)
     fan = StackyFan(AbelianGroupSpec(len(vectors)),
                     tuple(NElement(v) for v in vectors),
                     (tuple(range(len(vectors))),))
     points = cone_parallelepiped_points(fan, range(len(vectors)))
     assert points == _rational_parallelepiped_points(vectors)
+
+
+def test_smooth_fan_with_huge_rays_has_trivial_box():
+    # F_N for N = 10^9: four unimodular cones whose rays span a huge box
+    rays = ((1, 0), (0, 1), (-1, 10 ** 9), (0, -1))
+    fan = StackyFan(AbelianGroupSpec(2), tuple(NElement(v) for v in rays),
+                    ((0, 1), (1, 2), (2, 3), (3, 0)), name="F_1e9")
+    box = enumerate_box(fan)
+    assert [(b.rig, b.torsion) for b in box] == [((0, 0), ())]
+    assert box[0].is_untwisted

@@ -185,8 +185,8 @@ def test_module_invocation_smoke():
 
 
 # Valid fans whose box is too large to enumerate: a torsion group of order
-# 10^8, and a ray whose two cones have |det| 10^6 (~10^12 bounding-box
-# candidates).  Each runs in a child process under an address-space cap, so
+# 10^8, and a ray whose two cones have |det| 10^6 (up to 2 * 10^6 + 1 box
+# elements).  Each runs in a child process under an address-space cap, so
 # a missing guard fails the test instead of exhausting memory.
 HOSTILE_FANS = {
     "big-torsion": {
@@ -307,3 +307,29 @@ def test_cli_fuzz_never_raises(doc, free, fit_rank, torsion):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 2, 3, 64), (command, doc, code)
+
+
+def test_verify_mismatch_exits_three(drop_last_dual_of_mov_ray):
+    code, out = run_cli("verify", FOOTBALL)
+    assert code == 3
+    assert out.splitlines()[-1] == ("theorem verification: FAIL (separating "
+                                    "vector (1, 0) on side corollary_only)")
+    code, doc = run_json("verify", FOOTBALL)
+    assert code == 3
+    assert doc["equal"] is False
+    assert doc["separating"] == {"side": "corollary_only", "vector": [1, 0]}
+
+
+def test_smooth_fan_with_huge_rays_runs(tmp_path):
+    # every cone of the Hirzebruch surface F_N is unimodular, so its box is
+    # {0} for any N; the size guard counts box elements, not the rays' size
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({
+        "name": "F_1e9", "rank": 2,
+        "rays": [{"beta_free": [1, 0]}, {"beta_free": [0, 1]},
+                 {"beta_free": [-1, 10 ** 9]}, {"beta_free": [0, -1]}],
+        "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}))
+    for command in ("box", "sectors", "peff", "verify"):
+        code, out = run_cli(command, str(path))
+        assert code == 0, (command, out)
+    assert out.splitlines()[-1] == "theorem verification: PASS (cones equal)"

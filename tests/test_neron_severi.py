@@ -21,6 +21,7 @@ from stackycones.neron_severi import (
     pair,
     ray_divisor_classes,
 )
+from stackycones.orbcones import build_xi
 
 
 def _spaces(name):
@@ -168,3 +169,22 @@ def test_curve_class_from_v_orb_rejects_non_kernel_vectors():
     _, _, spaces = _spaces("p1")
     with pytest.raises(ValueError):
         curve_class_from_v_orb(spaces, unit_vector(2, 0))
+
+
+def test_lambda_orb_matches_dense_curve_basis_dot():
+    # oracle: the dense pairing of u with every curve-basis vector, which
+    # lambda_orb reads off the basis's layout instead; types are compared
+    # too, since printed classes show an int and a Fraction differently
+    rng = random.Random(23)
+    fans = all_fixture_fans()
+    fans += [beta_variant(fans[k % len(fans)], rng) for k in range(20)]
+    for fan in fans:
+        sectors = twisted_sectors(fan)
+        spaces = build_spaces(fan, sectors)
+        dim = spaces.n + spaces.t
+        xi = build_xi(fan, sectors, spaces)
+        for u in xi.xi_star + tuple(unit_vector(dim, i) for i in range(dim)):
+            got = lambda_orb(spaces, u).pairing
+            dense = tuple(dot(u, k) for k in spaces.curve_basis)
+            assert got == dense, (fan.name, u)
+            assert [type(x) for x in got] == [type(x) for x in dense], (fan.name, u)

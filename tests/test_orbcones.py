@@ -304,3 +304,11 @@ def test_verify_duality_on_variants_smoke():
             variant = beta_variant(fan, rng, max_curve_dim=VERIFY_CURVE_DIM_CAP)
             report = verify_duality(variant)
             assert report.equal, (fan.name, [r.free for r in variant.rays])
+
+
+def test_verify_duality_reports_a_mismatch(drop_last_dual_of_mov_ray, dd_runs):
+    report = drop_last_dual_of_mov_ray(fixture_fan("football"))
+    assert report.equal is False
+    assert report.dual_of_mov_generators == ((0, 1),)
+    assert report.separating == ("corollary_only", (1, 0))
+    assert len(dd_runs) == 3
