@@ -34,7 +34,8 @@ class IncompleteFanError(RuntimeError):
 
 
 class EnumerationLimitError(ValueError):
-    """The box of a fan could have more than ENUMERATION_LIMIT elements."""
+    """The box of a fan could have more than ENUMERATION_LIMIT elements, or
+    its class spaces more than neron_severi.CLASS_SPACE_LIMIT coordinates."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class ACoeffs:
 
     @staticmethod
     def from_pairs(pairs) -> "ACoeffs":
-        entries = tuple(sorted((i, Fraction(v)) for i, v in pairs if v != 0))
+        entries = tuple(sorted((i, v) for i, v in pairs if v != 0))
         if any(v <= 0 for _, v in entries):
             raise ValueError("barycentric coefficients must be positive where present")
         return ACoeffs(entries)
@@ -98,7 +99,11 @@ def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> ACoeffs:
 def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
     """Reduce an element of N to its box element: take fractional parts of
     the ray coefficients of the free part; the torsion part passes through."""
-    coeffs = minimal_cone_coeffs(fan, b.free)
+    return _fractional_part(fan, b, minimal_cone_coeffs(fan, b.free))
+
+
+def _fractional_part(fan: StackyFan, b: NElement, coeffs: ACoeffs) -> BoxElement:
+    # q_reduce of b, given the ray coefficients of its free part
     rig = list(b.free)
     frac_pairs = []
     for i, a in coeffs.items():

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 2 validation failure or a fan too large to
-enumerate, 3 theorem-verification mismatch, 64 usage or parse error.
+enumerate or to build class spaces for, 3 theorem-verification mismatch,
+64 usage or parse error.
 Every command takes a fan file and an optional ``--json`` flag switching
 from the human-readable tables to a machine-readable document in which
 exact rationals appear as ``{"num": "...", "den": "..."}`` decimal
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("validate", cmd_validate, "run the validation battery")
+    add("validate", cmd_validate, "certify that the fan is simplicial and complete")
     add("rays", cmd_rays, "per-ray data b, w, c and torsion")
     add("box", cmd_box, "all box elements in canonical order")
     add("sectors", cmd_sectors, "twisted sectors in canonical order")

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .cones import Cone, intersect
-from .linalg import IntVec, RatVec, primitive, solve_square
+from .linalg import IntVec, Number, RatVec, primitive, solve_square
 
 
 class FanStructureError(ValueError):
@@ -176,14 +176,15 @@ def coeffs_in_cone(fan: StackyFan, cone: Sequence[int], y: Sequence[int]
 
 
 def validate(fan: StackyFan) -> ValidationReport:
-    """Run the validation battery and report pass/fail per check.
+    """Run the validation checks and report pass/fail per check.
 
     Checks: (a) nonzero rays, (b) simpliciality, (c) pairwise intersections
     of maximal cones are common faces, (d) completeness, (e) finite cokernel
-    of beta.  The completeness check is a battery of exact necessary
-    conditions (purity, ridge counts, connected dual graph, anti-barycenter
-    coverage); it is not a certified decision procedure for arbitrary fans
-    but is exact and correct for fans of the kind accepted here.
+    of beta.  (d) is certified from the ridges (De Loera, Rambau and Santos,
+    "Triangulations", 2010, 4.5): if each ridge lies in exactly two maximal
+    cones, on opposite sides of it, the cones cover every generic point k >= 1
+    times.  One generic point gives k; k = 1 also proves (c), so the pairwise
+    intersections are computed only otherwise, to name the pairs that fail.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -210,20 +211,22 @@ def validate(fan: StackyFan) -> ValidationReport:
         "" if simplicial else f"linearly dependent cones: {bad_simplicial}"))
 
     if simplicial:
+        complete, covers = _completeness_check(fan)
         bad_pairs = []
-        cones = [_cone_of(fan, c) for c in fan.max_cones]
-        for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
-            ca, cb = fan.max_cones[a], fan.max_cones[b]
-            # the cone on the common rays lies in both cones, so the two
-            # meet in it iff their intersection lies in it
-            face = _cone_of(fan, sorted(set(ca) & set(cb)))
-            if not all(face.contains(g)
-                       for g in intersect(cones[a], cones[b]).generators):
-                bad_pairs.append((ca, cb))
+        if covers != 1:
+            cones = [_cone_of(fan, c) for c in fan.max_cones]
+            for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
+                ca, cb = fan.max_cones[a], fan.max_cones[b]
+                # the cone on the common rays lies in both cones, so the two
+                # meet in it iff their intersection lies in it
+                face = _cone_of(fan, sorted(set(ca) & set(cb)))
+                if not all(face.contains(g)
+                           for g in intersect(cones[a], cones[b]).generators):
+                    bad_pairs.append((ca, cb))
         checks.append(CheckResult(
             "pairwise_intersections", not bad_pairs,
             "" if not bad_pairs else f"non-face intersections: {bad_pairs}"))
-        checks.append(_completeness_check(fan))
+        checks.append(complete)
     else:
         checks.append(CheckResult("pairwise_intersections", False,
                                   "skipped: not simplicial"))
@@ -237,52 +240,49 @@ def validate(fan: StackyFan) -> ValidationReport:
     return ValidationReport(fan.name, tuple(checks))
 
 
-def _completeness_check(fan: StackyFan) -> CheckResult:
-    d = fan.dim
-    problems: list[str] = []
+def _ridge_det(fan: StackyFan, ridge: frozenset, y: Sequence[int]) -> Number:
+    """det[rays of the ridge in sorted order, y]: its sign is the side of the
+    ridge's hyperplane that y lies on."""
+    return linalg.det([fan.rays[i].free for i in sorted(ridge)] + [y])
 
+
+def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
+    """The completeness check, and how many maximal cones contain one
+    generic point when the ridges certify the fan (0 when they do not)."""
+    d = fan.dim
     if not fan.max_cones:
-        return CheckResult("complete", False, "no maximal cones")
+        return CheckResult("complete", False, "no maximal cones"), 0
+    problems: list[str] = []
     impure = [c for c in fan.max_cones if len(c) != d]
     if impure:
         problems.append(f"maximal cones not of dimension {d}: {impure}")
-    used = {i for c in fan.max_cones for i in c}
-    unused = sorted(set(range(fan.n_rays)) - used)
+    unused = sorted(set(range(fan.n_rays)).difference(*fan.max_cones))
     if unused:
         problems.append(f"rays in no maximal cone: {unused}")
 
     if not problems:
         # every ridge (facet of a maximal cone) must lie in exactly two
-        # maximal cones, and the resulting dual graph must be connected
-        cone_sets = [frozenset(c) for c in fan.max_cones]
-        ridge_count: dict[frozenset, int] = {}
-        for cs in cone_sets:
+        # maximal cones, whose apex rays lie on opposite sides of it
+        apexes: dict[frozenset, list[IntVec]] = {}
+        for cs in map(frozenset, fan.max_cones):
             for drop in cs:
-                ridge = cs - {drop}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        bad_ridges = {tuple(sorted(r)): k for r, k in ridge_count.items() if k != 2}
+                apexes.setdefault(cs - {drop}, []).append(fan.rays[drop].free)
+        bad_ridges = {tuple(sorted(r)): len(a) for r, a in apexes.items() if len(a) != 2}
         if bad_ridges:
             problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
-        else:
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                cur = frontier.pop()
-                for j in range(len(cone_sets)):
-                    if j not in seen and len(cone_sets[cur] & cone_sets[j]) == d - 1:
-                        seen.add(j)
-                        frontier.append(j)
-            if len(seen) != len(cone_sets):
-                problems.append("dual graph of maximal cones is disconnected")
+        one_sided = [] if bad_ridges else [
+            tuple(sorted(r)) for r, (a, b) in apexes.items()
+            if _ridge_det(fan, r, a) * _ridge_det(fan, r, b) > 0]
+        if one_sided:
+            problems.append(f"ridges whose two cones lie on one side: {one_sided}")
 
+    covers = 0
     if not problems:
-        rd = ray_data(fan)
-        for cone in fan.max_cones:
-            anti = tuple(-sum(rd[i].w[j] for i in cone) for j in range(d))
-            if all(coeffs_in_cone(fan, c, anti) is None
-                   for c in fan.max_cones):
-                problems.append(
-                    f"-(sum of primitive rays of {cone}) is not covered")
-                break
-
-    return CheckResult("complete", not problems, "; ".join(problems))
+        # a moment-curve point (1, s, s^2, ...) off every ridge's hyperplane;
+        # the curve lies in no hyperplane, so only finitely many s fail
+        curve = (tuple(s ** j for j in range(d)) for s in itertools.count(2))
+        point = next(p for p in curve if all(_ridge_det(fan, r, p) for r in apexes))
+        covers = sum(coeffs_in_cone(fan, c, point) is not None for c in fan.max_cones)
+        if d == 0 and covers > 1:  # no ridges glue them, and {0} is one cone
+            problems.append(f"{covers} maximal cones in rank 0")
+    return CheckResult("complete", not problems, "; ".join(problems)), covers

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .boxes import BoxElement
+from .boxes import BoxElement, EnumerationLimitError
 from .fan import StackyFan, ray_data
 from .linalg import (
     IntVec,
@@ -93,6 +93,12 @@ class AmbientSpaces:
         return self.n - self.d + self.t
 
 
+# build_spaces refuses fans with more ray and sector coordinates n + t: the
+# curve basis and Xi hold O((n + t)^2) dense entries; at the limit
+# `stackycones xi` takes about 1 s and 180 MB
+CLASS_SPACE_LIMIT = 500
+
+
 def eta_labels(n: int, t: int) -> tuple[str, ...]:
     """Display labels for the combined index (rays first, then sectors)."""
     return tuple([f"rho{i}" for i in range(n)] + [f"Y{j}" for j in range(t)])
@@ -100,9 +106,14 @@ def eta_labels(n: int, t: int) -> tuple[str, ...]:
 
 def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces:
     """Construct the structure matrices and the fixed curve basis, checking
-    the exactness and dimension identities they must satisfy."""
+    the exactness and dimension identities they must satisfy.  Raises
+    EnumerationLimitError when n + t exceeds CLASS_SPACE_LIMIT."""
+    n, d, t = fan.n_rays, fan.dim, len(sectors)
+    if n + t > CLASS_SPACE_LIMIT:
+        raise EnumerationLimitError(
+            f"fan '{fan.name}' is too large for the class spaces: n + t = "
+            f"{n + t} ray and sector coordinates (limit {CLASS_SPACE_LIMIT})")
     rd = ray_data(fan)
-    n, d, t = len(rd), fan.dim, len(sectors)
     alpha = tuple([r.w for r in rd])
     beta_prime = tuple([tuple([r.w[j] for r in rd]) for j in range(d)])
     beta_prime_orb = tuple([row + (0,) * t for row in beta_prime])

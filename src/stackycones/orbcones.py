@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import floor
 from typing import Optional, Sequence
 
-from .boxes import BoxElement, minimal_cone_coeffs, q_reduce, twisted_sectors
+from .boxes import BoxElement, _fractional_part, minimal_cone_coeffs, twisted_sectors
 from .cones import Cone
 from .fan import NElement, StackyFan
 # dot is not called here, but perfbench's tracer test reads orbcones.dot
@@ -150,7 +150,7 @@ def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
     decomposition data (floor multiplicities per ray, sector via q)."""
     b = b.reduced(fan.group)
     coeffs = minimal_cone_coeffs(fan, b.free)
-    sector = q_reduce(fan, b)
+    sector = _fractional_part(fan, b, coeffs)
     dim = spaces.n + spaces.t
     v = [Fraction(0)] * dim
     multiplicities = [0] * spaces.n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -11,6 +12,9 @@ import pytest
 
 from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
                          load_fan, orbcones)
+from stackycones.cones import intersect
+from stackycones.fan import (CheckResult, ValidationReport, _cone_of, coeffs_in_cone,
+                             ray_data)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
@@ -216,6 +220,116 @@ def fraction_solve(rows, rhs):
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def battery_validate(fan: StackyFan) -> ValidationReport:
+    """The validation battery that fan.validate's ridge certificate
+    replaced, kept verbatim as an oracle: checks (a)-(e) of fan.validate,
+    with (c) a double description run per pair of maximal cones and (d) a
+    battery of exact necessary conditions (purity, ridge counts, a connected
+    dual graph, anti-barycenter coverage), not a certified decision
+    procedure."""
+    checks: list[CheckResult] = []
+    d = fan.dim
+
+    nonzero = [i for i, ray in enumerate(fan.rays) if not any(ray.free)]
+    checks.append(CheckResult(
+        "nonzero_rays", not nonzero,
+        "" if not nonzero else f"rays with zero free part: {nonzero}"))
+    if nonzero:
+        return ValidationReport(fan.name, tuple(checks) + (
+            CheckResult("simplicial", False, "skipped: zero rays"),
+            CheckResult("pairwise_intersections", False, "skipped: zero rays"),
+            CheckResult("complete", False, "skipped: zero rays"),
+            CheckResult("finite_cokernel", False, "skipped: zero rays")))
+
+    bad_simplicial = []
+    for cone in fan.max_cones:
+        vectors = [fan.rays[i].free for i in cone]
+        if linalg.rank(vectors) != len(cone):
+            bad_simplicial.append(cone)
+    simplicial = not bad_simplicial
+    checks.append(CheckResult(
+        "simplicial", simplicial,
+        "" if simplicial else f"linearly dependent cones: {bad_simplicial}"))
+
+    if simplicial:
+        bad_pairs = []
+        cones = [_cone_of(fan, c) for c in fan.max_cones]
+        for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
+            ca, cb = fan.max_cones[a], fan.max_cones[b]
+            # the cone on the common rays lies in both cones, so the two
+            # meet in it iff their intersection lies in it
+            face = _cone_of(fan, sorted(set(ca) & set(cb)))
+            if not all(face.contains(g)
+                       for g in intersect(cones[a], cones[b]).generators):
+                bad_pairs.append((ca, cb))
+        checks.append(CheckResult(
+            "pairwise_intersections", not bad_pairs,
+            "" if not bad_pairs else f"non-face intersections: {bad_pairs}"))
+        checks.append(_battery_completeness_check(fan))
+    else:
+        checks.append(CheckResult("pairwise_intersections", False,
+                                  "skipped: not simplicial"))
+        checks.append(CheckResult("complete", False, "skipped: not simplicial"))
+
+    b_rank = linalg.rank([ray.free for ray in fan.rays]) if fan.rays else 0
+    checks.append(CheckResult(
+        "finite_cokernel", b_rank == d,
+        "" if b_rank == d else f"rank of ray matrix is {b_rank}, expected {d}"))
+
+    return ValidationReport(fan.name, tuple(checks))
+
+
+def _battery_completeness_check(fan: StackyFan) -> CheckResult:
+    d = fan.dim
+    problems: list[str] = []
+
+    if not fan.max_cones:
+        return CheckResult("complete", False, "no maximal cones")
+    impure = [c for c in fan.max_cones if len(c) != d]
+    if impure:
+        problems.append(f"maximal cones not of dimension {d}: {impure}")
+    used = {i for c in fan.max_cones for i in c}
+    unused = sorted(set(range(fan.n_rays)) - used)
+    if unused:
+        problems.append(f"rays in no maximal cone: {unused}")
+
+    if not problems:
+        # every ridge (facet of a maximal cone) must lie in exactly two
+        # maximal cones, and the resulting dual graph must be connected
+        cone_sets = [frozenset(c) for c in fan.max_cones]
+        ridge_count: dict[frozenset, int] = {}
+        for cs in cone_sets:
+            for drop in cs:
+                ridge = cs - {drop}
+                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+        bad_ridges = {tuple(sorted(r)): k for r, k in ridge_count.items() if k != 2}
+        if bad_ridges:
+            problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
+        else:
+            seen = {0}
+            frontier = [0]
+            while frontier:
+                cur = frontier.pop()
+                for j in range(len(cone_sets)):
+                    if j not in seen and len(cone_sets[cur] & cone_sets[j]) == d - 1:
+                        seen.add(j)
+                        frontier.append(j)
+            if len(seen) != len(cone_sets):
+                problems.append("dual graph of maximal cones is disconnected")
+
+    if not problems:
+        rd = ray_data(fan)
+        for cone in fan.max_cones:
+            anti = tuple(-sum(rd[i].w[j] for i in cone) for j in range(d))
+            if all(coeffs_in_cone(fan, c, anti) is None
+                   for c in fan.max_cones):
+                problems.append(
+                    f"-(sum of primitive rays of {cone}) is not covered")
+                break
+
+    return CheckResult("complete", not problems, "; ".join(problems))
 
 
 def pytest_addoption(parser):

@@ -207,7 +207,7 @@ cap = 800 * 2 ** 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from stackycones.cli import main
 results = {}
-for command in ("validate", "box", "sectors", "verify"):
+for command in sys.argv[2:]:
     err = io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -217,15 +217,21 @@ print(json.dumps(results))
 """
 
 
+def _run_capped(path, *commands):
+    """{command: (exit code, stderr, seconds)} of CLI calls on one fan file,
+    made in a child process under the address-space cap."""
+    proc = subprocess.run([sys.executable, "-c", _HOSTILE_CHILD, str(path), *commands],
+                          capture_output=True, text=True, cwd=REPO_ROOT / "src",
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("name", sorted(HOSTILE_FANS))
 def test_fan_too_large_to_enumerate_exits_two(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"name": name, **HOSTILE_FANS[name]}))
-    proc = subprocess.run([sys.executable, "-c", _HOSTILE_CHILD, str(path)],
-                          capture_output=True, text=True, cwd=REPO_ROOT / "src",
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
+    results = _run_capped(path, "validate", "box", "sectors", "verify")
     code, err, seconds = results["validate"]
     assert code == 0 and err == ""
     for command in ("box", "sectors", "verify"):
@@ -234,6 +240,37 @@ def test_fan_too_large_to_enumerate_exits_two(tmp_path, name):
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
         assert "too large to enumerate" in err
         assert seconds < 1.0, (command, seconds)
+
+
+def _torsion_line(tmp_path, order):
+    """The rank-1 fan of P^1 with torsion Z/order: one untwisted and
+    order - 1 twisted sectors, so n + t = order + 1."""
+    path = tmp_path / f"torsion{order}.json"
+    path.write_text(json.dumps({
+        "name": f"torsion{order}", "rank": 1, "torsion": [order],
+        "rays": [{"beta_free": [1]}, {"beta_free": [-1]}],
+        "max_cones": [[0], [1]]}))
+    return path
+
+
+def test_class_spaces_too_large_exit_two(tmp_path):
+    # n + t = 2001 would need O((n + t)^2) entries for the class spaces
+    results = _run_capped(_torsion_line(tmp_path, 2000),
+                          "box", "sectors", "ns", "xi", "verify")
+    for command in ("box", "sectors"):
+        assert results[command][:2] == [0, ""], command
+    for command in ("ns", "xi", "verify"):
+        code, err, seconds = results[command]
+        assert code == 2, (command, err)
+        assert err == ("error: fan 'torsion2000' is too large for the class "
+                       "spaces: n + t = 2001 ray and sector coordinates "
+                       "(limit 500)\n")
+        assert seconds < 1.0, (command, seconds)
+
+
+def test_class_spaces_below_the_limit_run(tmp_path):
+    results = _run_capped(_torsion_line(tmp_path, 250), "ns", "xi")
+    assert results["ns"][:2] == results["xi"][:2] == [0, ""]
 
 
 COMMANDS = ("validate", "rays", "box", "sectors", "ns", "xi", "mov", "peff",

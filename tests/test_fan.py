@@ -1,5 +1,10 @@
+import math
+import random
+
 import pytest
-from conftest import FIXTURE_NAMES, all_fixture_fans, fixture_fan
+from conftest import FIXTURE_NAMES, all_fixture_fans, battery_validate, fixture_fan
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stackycones.fan import (
     AbelianGroupSpec,
@@ -39,11 +44,9 @@ def test_p2_validates():
     assert validate(fixture_fan("p2")).ok
 
 
-# double description runs of validate: one per maximal cone, then per pair
-# the intersection and the dual of the common face its generators are tested
-# against (none when the intersection is the zero cone)
-VALIDATE_DD_RUNS = {"p1": 3, "p2": 9, "hirzebruch-f1": 14, "football": 3,
-                    "gerby-p1": 3, "p1xfootball": 14, "p2-c2": 9}
+# double description runs of validate: the ridge certificate of a valid fan
+# makes none
+VALIDATE_DD_RUNS = dict.fromkeys(FIXTURE_NAMES, 0)
 
 
 def test_all_shipped_fixtures_validate(dd_runs):
@@ -173,3 +176,153 @@ def test_sample_directions_covered_on_complete_fixtures():
         for y in samples:
             # raises IncompleteFanError if no maximal cone contains y
             minimal_cone_coeffs(fan, y)
+
+
+def _fan(d, rays, cones):
+    return StackyFan(AbelianGroupSpec(d), tuple(NElement(v) for v in rays),
+                     tuple(cones))
+
+
+# the two kinds of input on which the ridge certificate and the old battery
+# fail different checks, with the same verdict: a folded polygon, whose
+# cones (0, 1) and (1, 2) lie on one side of ray 1 ...
+FOLDED = _fan(2, [(1, 0), (-1, 1), (0, 1), (-1, 0), (0, -1)],
+              [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+# ... and two copies of the fan of P^2 on duplicated rays, which cover the
+# plane twice with a disconnected dual graph
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+TWO_P2 = _fan(2, P2_RAYS + P2_RAYS,
+              [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+def test_folded_fan_fails_the_certificate():
+    assert validate(FOLDED).lines() == [
+        "check nonzero_rays: PASS",
+        "check simplicial: PASS",
+        "check pairwise_intersections: FAIL (non-face intersections: "
+        "[((0, 1), (1, 2)), ((0, 1), (2, 3)), ((1, 2), (2, 3))])",
+        "check complete: FAIL (ridges whose two cones lie on one side: "
+        "[(1,), (2,)])",
+        "check finite_cokernel: PASS",
+        "validation: FAIL"]
+
+
+def test_double_cover_is_complete_but_not_a_fan():
+    pairs = [(a, b) for a in [(0, 1), (1, 2), (2, 0)]
+             for b in [(3, 4), (4, 5), (5, 3)]]
+    assert validate(TWO_P2).lines() == [
+        "check nonzero_rays: PASS",
+        "check simplicial: PASS",
+        f"check pairwise_intersections: FAIL (non-face intersections: {pairs})",
+        "check complete: PASS",
+        "check finite_cokernel: PASS",
+        "validation: FAIL"]
+
+
+@pytest.mark.parametrize("rays, cones, failed", [
+    ([(2,), (-3,)], [(0,), (1,)], {}),
+    ([(1,), (2,)], [(0,), (1,)], {
+        "pairwise_intersections": "non-face intersections: [((0,), (1,))]",
+        "complete": "ridges whose two cones lie on one side: [()]"}),
+    ([(1,), (-1,), (2,)], [(0,), (1,), (2,)], {
+        "pairwise_intersections": "non-face intersections: [((0,), (2,))]",
+        "complete": "ridges not shared by exactly 2 cones: {(): 3}"}),
+], ids=["p1", "one-side", "three-half-lines"])
+def test_rank_one_fans(rays, cones, failed):
+    # the ridge of a half-line is {0}, and its side is the sign of the ray
+    report = validate(_fan(1, rays, cones))
+    assert {c.name: c.detail for c in report.checks if not c.passed} == failed
+
+
+@pytest.mark.parametrize("cones, failed", [
+    ([], {"complete": "no maximal cones"}),
+    ([()], {}),
+    ([(), ()], {"complete": "2 maximal cones in rank 0"}),
+])
+def test_rank_zero_fans(cones, failed):
+    report = validate(_fan(0, [], cones))
+    assert {c.name: c.detail for c in report.checks if not c.passed} == failed
+
+
+def _polygon(rng, m):
+    """m primitive vectors in [-3, 3]^2 in counter-clockwise order with every
+    angular gap below pi, so consecutive pairs make a complete fan."""
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+    while True:
+        dirs = set()
+        while len(dirs) < m:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if math.gcd(*v) == 1:
+                dirs.add(v)
+        rays = sorted(dirs, key=lambda v: math.atan2(v[1], v[0]))
+        if all(cross(rays[i], rays[(i + 1) % m]) > 0 for i in range(m)):
+            return rays
+
+
+MUTATIONS = ("none", "drop", "widen", "duplicate", "negate", "fold", "twice",
+             "wind")
+
+
+def _mutated_fan(rng, kind, m, mutation):
+    """A polygon fan (d = 2) or a P^1 x polygon prism (d = 3) over m rays of
+    the polygon, changed by one mutation."""
+    polygon = _polygon(rng, m)
+    extra = [] if kind == "polygon" else [(0, 0, 1), (0, 0, -1)]
+    lift = (lambda v: v) if kind == "polygon" else (lambda v: v + (0,))
+    apexes = [()] if kind == "polygon" else [(m,), (m + 1,)]
+
+    def ring(order):  # the cones over consecutive rays of a cyclic order
+        return [(order[i], order[(i + 1) % len(order)]) + a
+                for i in range(len(order)) for a in apexes]
+    rays = [lift(v) for v in polygon] + extra
+    cones = ring(list(range(m)))
+    i = rng.randrange(m)
+    if mutation == "drop":
+        cones.pop(rng.randrange(len(cones)))
+    elif mutation == "widen":
+        k = rng.randrange(len(cones))
+        cones[k] = (cones[k][0], (cones[k][0] + 2) % m) + cones[k][2:]
+    elif mutation == "duplicate":
+        cones.append(rng.choice(cones))
+    elif mutation == "negate":
+        rays[i] = tuple(-x for x in rays[i])
+    elif mutation == "fold":  # swap two neighbours in the cyclic order
+        order = list(range(m))
+        order[i], order[(i + 1) % m] = order[(i + 1) % m], order[i]
+        cones = ring(order)
+    elif mutation in ("twice", "wind"):  # a second copy of every ray
+        n = len(rays)
+        rays = rays + rays
+        if mutation == "twice":  # a disconnected second copy of the fan
+            cones += [tuple(j + n for j in c) for c in cones]
+        else:  # one cycle around the polygon twice
+            cones = ring(list(range(m)) + list(range(n, n + m)))
+    return _fan(len(rays[0]), rays, cones)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32), kind=st.sampled_from(["polygon", "prism"]),
+       mutation=st.sampled_from(MUTATIONS), m=st.integers(3, 6))
+def test_certificate_matches_the_battery(dd_runs, seed, kind, mutation, m):
+    fan = _mutated_fan(random.Random(seed), kind, m, mutation)
+    before = len(dd_runs)
+    report = validate(fan)
+    runs = len(dd_runs) - before
+    oracle = battery_validate(fan)
+    assert report.ok == oracle.ok
+    if report.ok:
+        assert runs == 0
+    new = {c.name: c for c in report.checks}
+    old = {c.name: c for c in oracle.checks}
+    # the certificate either proves the face check or runs it unchanged
+    assert [c for c in report.checks if c.name != "complete"] == [
+        c for c in oracle.checks if c.name != "complete"]
+    if new["complete"].passed != old["complete"].passed:
+        folded = new["complete"].detail.startswith(
+            "ridges whose two cones lie on one side")
+        covered_twice = old["complete"].detail == \
+            "dual graph of maximal cones is disconnected"
+        assert folded or covered_twice, (fan, report, oracle)
+        assert not new["pairwise_intersections"].passed
