@@ -40,6 +40,7 @@ from .neron_severi import (
     ray_divisor_classes,
 )
 from .orbcones import (
+    Analysis,
     OnePSClass,
     VerificationReport,
     XiSystem,

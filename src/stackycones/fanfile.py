@@ -42,6 +42,8 @@ def fan_from_dict(doc: dict) -> StackyFan:
         raise FanFileError(f"missing required key {missing}") from None
     torsion = doc.get("torsion", [])
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise FanFileError("name must be a string")
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise FanFileError("rank must be an integer")
     if not isinstance(torsion, list) or not all(
@@ -73,7 +75,7 @@ def fan_from_dict(doc: dict) -> StackyFan:
         cones.append(tuple(c))
     try:
         return StackyFan(group=group, rays=tuple(rays), max_cones=tuple(cones),
-                         name=str(name))
+                         name=name)
     except FanStructureError as err:
         raise FanFileError(str(err)) from None
 

@@ -23,18 +23,25 @@ The movable cone is cone{Xi_eta} intersected with the curve space.  Since
 {Xi_eta} is a basis, the inequality description of cone{Xi_eta} is exactly
 {<Xi*_eta, .> >= 0}, so the intersection is computed by restricting each
 Xi*_eta to the curve basis and dualizing in the curve coordinates.  The
-verifier dualizes the movable cone once more and checks, by containment in
-both directions, that the result is the cone on the lambda_orb(Xi*_eta).
-Both sides are double description runs on the same restricted functionals,
-so the check confirms the engine's biduality on each input; it is not an
-independent route.  Computing Mov by circuit enumeration (ROADMAP item 2)
-would give one that shares no engine.
+same restricted functionals are the pairing vectors of the classes
+lambda_orb(Xi*_eta), so the cone on them is the generator description of
+PEff_orb and Mov is its dual.  The verifier dualizes the movable cone once
+more and checks, by containment in both directions, that the result is the
+cone on the lambda_orb(Xi*_eta).  Both sides are double description runs
+on the same restricted functionals, so the check confirms the engine's
+biduality on each input; it is not an independent route.  Computing Mov by
+circuit enumeration (ROADMAP item 2) would give one that shares no engine.
+
+Analysis(fan) holds that chain for one fan, fan -> twisted sectors ->
+class spaces -> Xi/Xi* -> restricted functionals -> the PEff cone, and
+builds each stage once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 from typing import Optional, Sequence
 
@@ -58,7 +65,6 @@ class XiSystem:
     labels: tuple[str, ...]
     xi: tuple[RatVec, ...]        # vectors in V_orb
     xi_star: tuple[RatVec, ...]   # vectors in U_orb
-    b_bold: tuple[IntVec, ...]    # bb_rho = c_rho * v_rho, rays only
 
 
 @dataclass(frozen=True)
@@ -88,9 +94,9 @@ def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
     so the identity also proves that Xi is a basis."""
     n, t = spaces.n, spaces.t
     dim = n + t
-    b_bold = tuple([tuple([c if j == i else 0 for j in range(dim)])
-                    for i, c in enumerate(spaces.ray_cs)])
-    xi = list(b_bold)
+    # Xi_rho = bb_rho = c_rho * v_rho
+    xi = [tuple([c if j == i else 0 for j in range(dim)])
+          for i, c in enumerate(spaces.ray_cs)]
     for j, sector in enumerate(sectors):
         v = [0] * dim
         v[n + j] = 1
@@ -109,8 +115,7 @@ def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
     for j in range(t):
         xi_star.append(unit_vector(dim, n + j))
     _check_dual_basis(xi, xi_star)
-    return XiSystem(labels=spaces.labels, xi=tuple(xi),
-                    xi_star=tuple(xi_star), b_bold=b_bold)
+    return XiSystem(labels=spaces.labels, xi=tuple(xi), xi_star=tuple(xi_star))
 
 
 def _check_dual_basis(xi: Sequence[RatVec], xi_star: Sequence[RatVec]) -> None:
@@ -195,6 +200,39 @@ def peff_generators(spaces: AmbientSpaces, xi: XiSystem) -> tuple[OrbDivisorClas
     return tuple(lambda_orb(spaces, star) for star in xi.xi_star)
 
 
+class Analysis:
+    """The pipeline of one stacky fan.  Each stage is built once, on first
+    use, and kept for the lifetime of this object.
+
+    ``peff`` is the cone on the restricted functionals: Mov_1,orb is
+    ``peff.dual()`` and the PEff_orb extremal rays are
+    ``peff.canonical_generators()``.  The fan must be valid.
+    """
+
+    def __init__(self, fan: StackyFan):
+        self.fan = fan
+
+    @cached_property
+    def sectors(self) -> tuple[BoxElement, ...]:
+        return twisted_sectors(self.fan)
+
+    @cached_property
+    def spaces(self) -> AmbientSpaces:
+        return build_spaces(self.fan, self.sectors)
+
+    @cached_property
+    def xi(self) -> XiSystem:
+        return build_xi(self.fan, self.sectors, self.spaces)  # raises unless Xi*.Xi = I
+
+    @cached_property
+    def functionals(self) -> tuple[RatVec, ...]:
+        return restricted_functionals(self.spaces, self.xi)
+
+    @cached_property
+    def peff(self) -> Cone:
+        return Cone(self.spaces.dim_ns_orb, self.functionals)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the generator-description check for one stacky fan."""
@@ -209,10 +247,7 @@ class VerificationReport:
     separating: Optional[tuple[str, IntVec]] = None  # (side, vector)
 
 
-def verify_duality(fan: StackyFan,
-                   sectors: Optional[Sequence[BoxElement]] = None,
-                   spaces: Optional[AmbientSpaces] = None,
-                   xi: Optional[XiSystem] = None) -> VerificationReport:
+def verify_duality(fan: StackyFan) -> VerificationReport:
     """Check that the dual of the movable cone equals the cone on the
     predicted pseudo-effective generators, exactly, by containment both ways.
 
@@ -220,14 +255,8 @@ def verify_duality(fan: StackyFan,
     cached this makes three double description runs.  Agreement confirms the
     engine's biduality on this input, not an independent computation.
     """
-    if sectors is None:
-        sectors = twisted_sectors(fan)
-    if spaces is None:
-        spaces = build_spaces(fan, sectors)
-    if xi is None:
-        xi = build_xi(fan, sectors, spaces)
-    classes = restricted_functionals(spaces, xi)
-    corollary = Cone(spaces.dim_ns_orb, classes)
+    analysis = Analysis(fan)
+    corollary = analysis.peff
     mov = corollary.dual()
     dual_of_mov = mov.dual()
     # the first generator of either side outside the other; checking
@@ -240,10 +269,10 @@ def verify_duality(fan: StackyFan,
     return VerificationReport(
         fan_name=fan.name,
         equal=separating is None,
-        labels=spaces.labels,
+        labels=analysis.spaces.labels,
         mov_generators=mov.generators,
         dual_of_mov_generators=dual_of_mov.generators,
-        corollary_classes=classes,
+        corollary_classes=analysis.functionals,
         corollary_generators=corollary.canonical_generators(),
         separating=separating,
     )

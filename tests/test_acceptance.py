@@ -170,8 +170,7 @@ def test_criterion_6_classical_reduction():
             assert len(box) == 1 and box[0].is_untwisted, name
             sectors = twisted_sectors(fan)
             spaces = build_spaces(fan, sectors)
-            xi = build_xi(fan, sectors, spaces)
-            report = verify_duality(fan, sectors, spaces, xi)
+            report = verify_duality(fan)
             assert report.equal
             classical = Cone(spaces.dim_ns,
                              [ray_divisor_classes(spaces, i)[0].pairing

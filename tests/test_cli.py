@@ -8,14 +8,18 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import REPO_ROOT, fixture_path
+from conftest import (FIXTURE_NAMES, REPO_ROOT, _count_calls, fixture_fan,
+                      fixture_path)
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from stackycones import boxes, neron_severi, orbcones
 from stackycones.cli import main
 
 FOOTBALL = str(fixture_path("football"))
 P2 = str(fixture_path("p2"))
+COMMANDS = ("validate", "rays", "box", "sectors", "ns", "xi", "mov", "peff",
+            "verify", "class-of-1ps")
 
 
 def run_cli(*argv):
@@ -52,8 +56,14 @@ def test_compute_command_on_invalid_fan_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({
         "rank": 1, "rays": [{"beta_free": [1]}, {"beta_free": [-1]}],
         "max_cones": [[0]]}))
-    code, _ = run_cli("box", str(path))
-    assert code == 2
+    for command in COMMANDS[1:]:   # every command but validate
+        for json_flag in ([], ["--json"]):
+            argv = [command, str(path), *json_flag] + ["--b=1"] * (command == "class-of-1ps")
+            code, out = run_cli(*argv)
+            assert code == 2, argv
+            assert out == "", argv
+            assert capsys.readouterr().err == \
+                "error: fan 'half' fails validation: complete\n", argv
 
 
 def test_parse_error_exit_64(tmp_path):
@@ -105,10 +115,12 @@ def test_class_of_1ps_untwisted():
 
 
 def test_class_of_1ps_bad_b_exit_64(capsys):
-    code, _ = run_cli("class-of-1ps", FOOTBALL, "--b=1,2,3")
+    code, out = run_cli("class-of-1ps", FOOTBALL, "--b=1,2,3")
     assert code == 64
-    code, _ = run_cli("class-of-1ps", FOOTBALL, "--b=x")
+    assert out == ""
+    code, out = run_cli("class-of-1ps", FOOTBALL, "--b=x")
     assert code == 64
+    assert out == ""
     # an empty field is an error, not a skipped coordinate
     for path, b in ((P2, "1,,1"), (FOOTBALL, "-3,"), (FOOTBALL, ",-3")):
         capsys.readouterr()
@@ -174,6 +186,30 @@ def test_rays_and_sectors_and_mov_and_peff_run_everywhere():
         for command in ("rays", "sectors", "ns", "xi", "mov", "peff"):
             code, out = run_cli(command, str(fixture_path(name)))
             assert code == 0, (name, command, out)
+
+
+# DD runs per command on a valid fan, as at the time each stage was first
+# shared: validation makes none, Mov one, PEff's extremal rays a second,
+# and verify a third inside the containment check
+STAGE_DD_RUNS = {"ns": 0, "xi": 0, "mov": 1, "peff": 2, "verify": 3, "class-of-1ps": 0}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_DD_RUNS))
+def test_each_stage_is_built_once_per_command(monkeypatch, dd_runs, command):
+    stages = {name: _count_calls(monkeypatch, module, name)
+              for module, name in ((boxes, "twisted_sectors"),
+                                   (neron_severi, "build_spaces"),
+                                   (orbcones, "build_xi"))}
+    for fixture in FIXTURE_NAMES:
+        for calls in (dd_runs, *stages.values()):
+            calls.clear()
+        extra = ["--b=" + ",".join(["1"] * fixture_fan(fixture).dim)] \
+            if command == "class-of-1ps" else []
+        code, _ = run_cli(command, str(fixture_path(fixture)), *extra)
+        assert code == 0, (command, fixture)
+        for name, calls in stages.items():
+            assert len(calls) <= 1, (command, fixture, name)
+        assert len(dd_runs) == STAGE_DD_RUNS[command], (command, fixture)
 
 
 def test_module_invocation_smoke():
@@ -271,10 +307,6 @@ def test_class_spaces_too_large_exit_two(tmp_path):
 def test_class_spaces_below_the_limit_run(tmp_path):
     results = _run_capped(_torsion_line(tmp_path, 250), "ns", "xi")
     assert results["ns"][:2] == results["xi"][:2] == [0, ""]
-
-
-COMMANDS = ("validate", "rays", "box", "sectors", "ns", "xi", "mov", "peff",
-            "verify", "class-of-1ps")
 
 
 @st.composite

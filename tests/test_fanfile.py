@@ -52,12 +52,28 @@ def test_beta_torsion_defaults_to_zero():
     assert fan.rays[0].torsion == (0,)
 
 
+P1_DOC = {"rank": 1, "rays": [{"beta_free": [1]}, {"beta_free": [-1]}],
+          "max_cones": [[0], [1]]}
+
+
 def test_name_defaults_to_file_stem(tmp_path):
     path = tmp_path / "my-fan.json"
-    path.write_text(json.dumps({
-        "rank": 1, "rays": [{"beta_free": [1]}, {"beta_free": [-1]}],
-        "max_cones": [[0], [1]]}))
-    assert load_fan(path).name == "my-fan"
+    for doc in (P1_DOC, {"name": "", **P1_DOC}):   # missing or empty
+        path.write_text(json.dumps(doc))
+        assert load_fan(path).name == "my-fan"
+
+
+@pytest.mark.parametrize("name", [None, ["a"], 7, True, {"x": 1}])
+def test_name_must_be_a_string(tmp_path, capsys, name):
+    doc = {"name": name, **P1_DOC}
+    with pytest.raises(FanFileError, match="name must be a string"):
+        fan_from_dict(doc)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: name must be a string\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,10 +1,13 @@
 """The README's examples, checked against the program so they cannot drift."""
 
+import argparse
 import io
 import re
 from contextlib import redirect_stdout
 
 from conftest import GOLDEN_DIR, REPO_ROOT
+
+from stackycones.cli import build_parser
 
 README = (REPO_ROOT / "README.md").read_text()
 
@@ -35,3 +38,12 @@ def test_library_use_prints_what_its_comments_say(monkeypatch):
     with redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_command_list_is_the_parsers():
+    block = _block("## Command line", "```sh")
+    listed = [line.split()[1] for line in block.splitlines()]
+    assert all(line.startswith("stackycones ") for line in block.splitlines())
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert listed == list(subparsers.choices)
