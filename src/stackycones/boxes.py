@@ -8,7 +8,8 @@ elements are the y with every a_rho(y) < 1, crossed with the torsion part
 of the group.  Those of one full-dimensional maximal cone with ray matrix
 B represent the group Z^d / B Z^d of order |det B|, and are walked as that
 group (Borisov, Chen and Smith, "The orbifold Chow ring of toric
-Deligne-Mumford stacks", 2005).  The canonical ordering fixed here (rig
+Deligne-Mumford stacks", 2005), once per cone and in integers; coefficients
+are built only for the points kept.  The canonical ordering fixed here (rig
 part lexicographic, then torsion lexicographic) is the index order used by
 every downstream coordinate system.
 """
@@ -18,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .fan import NElement, StackyFan, coeffs_in_cone
-from .linalg import IntVec, _echelon, det, mat_vec, unit_vector
+from .linalg import IntVec, _bareiss, _echelon, unit_vector
 
 # enumerate_box refuses fans with more box elements: walking that many takes
 # seconds; the largest fixture, test or benchmark input has 522
@@ -118,18 +120,9 @@ def _fractional_part(fan: StackyFan, b: NElement, coeffs: ACoeffs) -> BoxElement
                       coeffs=ACoeffs.from_pairs(frac_pairs))
 
 
-def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
-                               ) -> list[tuple[IntVec, ACoeffs]]:
-    """Integer points of the half-open parallelepiped spanned by the b_rho
-    of one maximal cone, i.e. {sum a_rho b_rho : 0 <= a_rho < 1}, sorted.
-
-    One integer elimination of [B | I], B the ray matrix, gives rows
-    k_p (e_p | row p of B^-1); with m the lcm of the pivots, adj = m B^-1 is
-    integral and a point p has coefficients adj p / m.  So p -> adj p mod m
-    maps Z^d / B Z^d onto the subgroup of (Z/m)^d that adj's columns
-    generate, and each element c of it, taken in [0, m)^d, gives the point
-    B c / m.  The walk builds that subgroup, exactly |det B| elements.
-    """
+def _cone_group(fan: StackyFan, cone: Sequence[int]
+                ) -> tuple[int, list[tuple[IntVec, IntVec]]]:
+    # the walk of cone_parallelepiped_points: m and the (point, c) pairs
     d = fan.dim
     vectors = [fan.rays[i].free for i in cone]
     if len(vectors) != d:
@@ -148,17 +141,40 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
         while step not in group:
             group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
             step = tuple([(x + y) % m for x, y in zip(step, g)])
-    points = sorted((tuple([x // m for x in mat_vec(rows, c)]), c) for c in group)
-    return [(point, ACoeffs.from_pairs((i, Fraction(x, m)) for i, x in zip(cone, c) if x))
-            for point, c in points]
+    return m, [(tuple([sum(map(mul, row, c)) // m for row in rows]), c) for c in group]
+
+
+def _coeffs(cone: Sequence[int], c: IntVec, m: int, fractions: dict) -> ACoeffs:
+    # c / m on the cone's rays, positive entries; fractions: (x, m) -> x / m
+    return ACoeffs(tuple([(i, fractions.get((x, m)) or fractions.setdefault((x, m), Fraction(x, m)))
+                          for i, x in sorted(zip(cone, c)) if x]))
+
+
+def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
+                               ) -> list[tuple[IntVec, ACoeffs]]:
+    """Integer points of the half-open parallelepiped spanned by the b_rho
+    of one maximal cone, i.e. {sum a_rho b_rho : 0 <= a_rho < 1}, sorted.
+
+    One integer elimination of [B | I], B the ray matrix, gives rows
+    k_p (e_p | row p of B^-1); with m the lcm of the pivots, adj = m B^-1 is
+    integral and a point p has coefficients adj p / m.  So p -> adj p mod m
+    maps Z^d / B Z^d onto the subgroup of (Z/m)^d that adj's columns
+    generate, and each element c of it, taken in [0, m)^d, gives the point
+    B c / m.  The walk builds that subgroup, exactly |det B| elements.
+    """
+    m, points = _cone_group(fan, cone)
+    return [(point, _coeffs(cone, c, m, {})) for point, c in sorted(points)]
 
 
 def _enumeration_size(fan: StackyFan) -> int:
     """An upper bound on the number of box elements: the parallelepiped
     point counts |det| of the full-dimensional maximal cones, summed, times
-    the torsion group's order."""
-    points = sum(int(abs(det(tuple(zip(*(fan.rays[i].free for i in cone))))))
-                 for cone in fan.max_cones if len(cone) == fan.dim)
+    the torsion group's order; [1] stands for the rank-0 cone {0}."""
+    points = 0
+    for cone in fan.max_cones:
+        if len(cone) == fan.dim:
+            m = [list(fan.rays[i].free) for i in cone] or [[1]]
+            points += abs(m[-1][-1]) if _bareiss(m)[0] == len(m) else 0
     return points * prod(fan.group.torsion_orders)
 
 
@@ -169,24 +185,27 @@ def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     Every box element lies in the half-open parallelepiped of some maximal
     cone (points with zero coefficients included, since any subset of a
     simplicial cone's rays spans a face), so the union over maximal cones
-    is exhaustive.  Raises EnumerationLimitError, before enumerating, when
-    the box could have more than ENUMERATION_LIMIT elements, which also
-    bounds the points the walks build.
+    is exhaustive.  Each cone is walked once, in integers; the first cone
+    to reach a point keeps it (the minimal-cone expression is unique), and
+    coefficients are built once per kept point.  Raises
+    EnumerationLimitError, before enumerating, when the box could have more
+    than ENUMERATION_LIMIT elements, which also bounds the points walked.
     """
     elements = _enumeration_size(fan)
     if elements > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"fan '{fan.name}' is too large to enumerate: up to {elements} "
             f"box elements (limit {ENUMERATION_LIMIT})")
-    rig_points: dict[IntVec, ACoeffs] = {}
+    kept: dict[IntVec, tuple] = {}
     for cone in fan.max_cones:
-        for point, coeffs in cone_parallelepiped_points(fan, cone):
-            rig_points.setdefault(point, coeffs)
-    out = []
-    for rig in sorted(rig_points):
-        for torsion in fan.group.torsion_elements():
-            out.append(BoxElement(rig=rig, torsion=torsion,
-                                  coeffs=rig_points[rig]))
+        m, points = _cone_group(fan, cone)
+        for point, c in points:
+            kept.setdefault(point, (cone, c, m))
+    torsion = tuple(fan.group.torsion_elements())
+    out, fractions = [], {}
+    for rig in sorted(kept):
+        coeffs = _coeffs(*kept[rig], fractions)
+        out.extend([BoxElement(rig, t, coeffs) for t in torsion])
     return tuple(out)
 
 

@@ -39,6 +39,7 @@ builds each stage once, on first use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -169,11 +170,11 @@ def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
 
 
 def sector_index(sectors: Sequence[BoxElement], sector: BoxElement) -> int:
-    """Position of a twisted sector in the canonical sector list."""
+    """Position of a twisted sector in the canonical sector list, by bisection."""
     key = (sector.rig, sector.torsion)
-    for j, s in enumerate(sectors):
-        if (s.rig, s.torsion) == key:
-            return j
+    j = bisect_left(sectors, key, key=lambda s: (s.rig, s.torsion))
+    if j < len(sectors) and (sectors[j].rig, sectors[j].torsion) == key:
+        return j
     raise KeyError(f"sector {key} missing from the canonical list; "
                    "box enumeration and q disagree")
 

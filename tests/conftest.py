@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -85,6 +86,36 @@ def beta_variant(fan: StackyFan, rng: random.Random,
         t = len(enumerate_box(candidate)) - 1
         if candidate.n_rays - candidate.dim + t <= max_curve_dim:
             return candidate
+
+
+def polygon_rays(rng: random.Random, m: int) -> list[tuple[int, int]]:
+    """m primitive vectors in [-3, 3]^2 in counter-clockwise order with every
+    angular gap below pi, so consecutive pairs make a complete fan."""
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+    while True:
+        dirs = set()
+        while len(dirs) < m:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if math.gcd(*v) == 1:
+                dirs.add(v)
+        rays = sorted(dirs, key=lambda v: math.atan2(v[1], v[0]))
+        if all(cross(rays[i], rays[(i + 1) % m]) > 0 for i in range(m)):
+            return rays
+
+
+def polygon_fan(rng: random.Random, kind: str, m: int) -> StackyFan:
+    """A complete fan over polygon_rays(rng, m): the m cones over
+    consecutive rays (d = 2) for kind "polygon", or for kind "prism" the 2m
+    cones of the P^1 x polygon prism (d = 3), whose extra rays are +-e_3."""
+    polygon = polygon_rays(rng, m)
+    if kind == "polygon":
+        return StackyFan(AbelianGroupSpec(2), tuple(NElement(v) for v in polygon),
+                         tuple((i, (i + 1) % m) for i in range(m)), name=f"polygon{m}")
+    rays = [v + (0,) for v in polygon] + [(0, 0, 1), (0, 0, -1)]
+    return StackyFan(AbelianGroupSpec(3), tuple(NElement(v) for v in rays),
+                     tuple((i, (i + 1) % m, m + s) for i in range(m) for s in (0, 1)),
+                     name=f"prism{m}")
 
 
 def random_n_element(fan: StackyFan, rng: random.Random, bound: int = 20) -> NElement:

@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    FIXTURE_NAMES,
     all_fixture_fans,
     beta_variant,
     fixture_fan,
     fraction_solve,
+    polygon_fan,
     random_n_element,
 )
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stackycones import boxes
 from stackycones.boxes import (
     ACoeffs,
+    BoxElement,
     IncompleteFanError,
     cone_parallelepiped_points,
     enumerate_box,
@@ -206,3 +210,65 @@ def test_smooth_fan_with_huge_rays_has_trivial_box():
     box = enumerate_box(fan)
     assert [(b.rig, b.torsion) for b in box] == [((0, 0), ())]
     assert box[0].is_untwisted
+
+
+def _box_oracle(fan):
+    # the union over maximal cones of the rational scan (first cone wins),
+    # crossed with the torsion elements
+    points = {}
+    for cone in fan.max_cones:
+        vectors = [fan.rays[i].free for i in cone]
+        for point, coeffs in _rational_parallelepiped_points(vectors):
+            points.setdefault(point, ACoeffs.from_pairs(
+                (cone[k], a) for k, a in coeffs.items()))
+    return tuple(BoxElement(rig, torsion, points[rig]) for rig in sorted(points)
+                 for torsion in fan.group.torsion_elements())
+
+
+@st.composite
+def _beta_variants(draw):
+    # a fixture shape with every ray scaled by a multiplier <= 6, torsion
+    # residues redrawn, and sometimes an extra Z/2 or Z/3
+    shape = fixture_fan(draw(st.sampled_from(FIXTURE_NAMES)))
+    orders = shape.group.torsion_orders + draw(st.sampled_from([(), (2,), (3,)]))
+    rays = tuple(NElement(tuple(draw(st.integers(1, 6)) * x for x in ray.free),
+                          tuple(draw(st.integers(0, l - 1)) for l in orders))
+                 for ray in shape.rays)
+    return StackyFan(AbelianGroupSpec(shape.group.rank, orders), rays,
+                     shape.max_cones, name=shape.name + "-variant")
+
+
+@given(_beta_variants()
+       | st.builds(polygon_fan, st.randoms(use_true_random=False),
+                   st.sampled_from(["polygon", "prism"]), st.integers(3, 6)))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_enumerate_box_matches_rational_scan(fan):
+    assert enumerate_box(fan) == _box_oracle(fan)
+
+
+def test_enumerate_box_of_rank_zero_fan_with_torsion():
+    fan = StackyFan(AbelianGroupSpec(0, (2, 3)), (), ((),), name="point")
+    box = enumerate_box(fan)
+    assert box == _box_oracle(fan)
+    assert [(b.rig, b.torsion) for b in box] == [
+        ((), (a, b)) for a in range(2) for b in range(3)]
+    assert all(b.coeffs == ACoeffs(()) for b in box)
+
+
+@pytest.mark.parametrize("fan", [
+    fixture_fan("p1xfootball"), polygon_fan(random.Random(12), "polygon", 12)],
+    ids=["p1xfootball", "polygon12"])
+def test_coefficients_built_once_per_box_point(monkeypatch, fan):
+    # every maximal cone walks the origin, and neighbouring cones walk the
+    # points of their common face; coefficients are built for the kept
+    # point only
+    built = []
+    original = boxes.ACoeffs
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(boxes, "ACoeffs", counting)
+    box = enumerate_box(fan)
+    assert len(built) == len({b.rig for b in box})

@@ -1,8 +1,13 @@
-import math
 import random
 
 import pytest
-from conftest import FIXTURE_NAMES, all_fixture_fans, battery_validate, fixture_fan
+from conftest import (
+    FIXTURE_NAMES,
+    all_fixture_fans,
+    battery_validate,
+    fixture_fan,
+    polygon_rays,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -244,22 +249,6 @@ def test_rank_zero_fans(cones, failed):
     assert {c.name: c.detail for c in report.checks if not c.passed} == failed
 
 
-def _polygon(rng, m):
-    """m primitive vectors in [-3, 3]^2 in counter-clockwise order with every
-    angular gap below pi, so consecutive pairs make a complete fan."""
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-    while True:
-        dirs = set()
-        while len(dirs) < m:
-            v = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if math.gcd(*v) == 1:
-                dirs.add(v)
-        rays = sorted(dirs, key=lambda v: math.atan2(v[1], v[0]))
-        if all(cross(rays[i], rays[(i + 1) % m]) > 0 for i in range(m)):
-            return rays
-
-
 MUTATIONS = ("none", "drop", "widen", "duplicate", "negate", "fold", "twice",
              "wind")
 
@@ -267,7 +256,7 @@ MUTATIONS = ("none", "drop", "widen", "duplicate", "negate", "fold", "twice",
 def _mutated_fan(rng, kind, m, mutation):
     """A polygon fan (d = 2) or a P^1 x polygon prism (d = 3) over m rays of
     the polygon, changed by one mutation."""
-    polygon = _polygon(rng, m)
+    polygon = polygon_rays(rng, m)
     extra = [] if kind == "polygon" else [(0, 0, 1), (0, 0, -1)]
     lift = (lambda v: v) if kind == "polygon" else (lambda v: v + (0,))
     apexes = [()] if kind == "polygon" else [(m,), (m + 1,)]

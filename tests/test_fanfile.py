@@ -2,8 +2,11 @@ import json
 
 import pytest
 from conftest import FIXTURE_NAMES, fixture_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackycones.cli import main
+from stackycones.fan import StackyFan
 from stackycones.fanfile import (
     FanFileError,
     fan_from_dict,
@@ -89,6 +92,54 @@ def test_name_must_be_a_string(tmp_path, capsys, name):
 def test_malformed_documents(doc):
     with pytest.raises(FanFileError):
         fan_from_dict(doc)
+
+
+# any document json.loads can return, kept small
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10)
+
+
+def _or_junk(strategy):
+    # mostly the given strategy, one time in five an arbitrary JSON value
+    return st.integers(0, 4).flatmap(lambda k: _JSON if k == 0 else strategy)
+
+
+@st.composite
+def _fan_documents(draw):
+    # the schema's keys with near-valid values, any of them, at any depth,
+    # sometimes replaced by an arbitrary JSON value
+    rank = draw(_or_junk(st.integers(-1, 3)))
+    d = rank if type(rank) is int and 0 <= rank <= 3 else 1
+    orders = draw(st.lists(st.integers(-1, 4), max_size=2))
+    ints = st.lists(st.integers(-3, 3), max_size=3)
+    ray = st.fixed_dictionaries(
+        {"beta_free": _or_junk(st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+                               | ints)},
+        optional={"beta_torsion": _or_junk(st.lists(
+            st.integers(-5, 5), min_size=len(orders), max_size=len(orders)))})
+    doc = {"rank": rank,
+           "rays": draw(_or_junk(st.lists(_or_junk(ray), max_size=4))),
+           "max_cones": draw(_or_junk(st.lists(_or_junk(
+               st.lists(st.integers(-1, 4), max_size=3)), max_size=4)))}
+    if draw(st.booleans()):
+        doc["torsion"] = draw(_or_junk(st.just(orders)))
+    if draw(st.booleans()):
+        doc["name"] = draw(_or_junk(st.text(max_size=3)))
+    return doc
+
+
+@given(_fan_documents() | _JSON)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def test_any_json_document_loads_or_raises_fan_file_error(doc):
+    try:
+        fan = fan_from_dict(doc)
+    except FanFileError:
+        return
+    assert isinstance(fan, StackyFan)
 
 
 def test_unreadable_file():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
     random_n_element,
 )
 
-from stackycones.boxes import twisted_sectors
+from stackycones.boxes import BoxElement, twisted_sectors
 from stackycones.cones import Cone
 from stackycones.fan import NElement, validate
 from stackycones.fanfile import fan_from_dict
@@ -312,3 +313,29 @@ def test_verify_duality_reports_a_mismatch(drop_last_dual_of_mov_ray, dd_runs):
     assert report.dual_of_mov_generators == ((0, 1),)
     assert report.separating == ("corollary_only", (1, 0))
     assert len(dd_runs) == 3
+
+
+def _scan_index(sectors, sector):
+    # the linear scan sector_index replaced
+    return next(j for j, s in enumerate(sectors)
+                if (s.rig, s.torsion) == (sector.rig, sector.torsion))
+
+
+def test_sector_index_matches_linear_scan():
+    rng = random.Random(4242)
+    fans = all_fixture_fans()
+    fans += [beta_variant(fans[k % len(fans)], rng) for k in range(20)]
+    for fan in fans:
+        sectors = twisted_sectors(fan)
+        for sector in sectors:
+            # a fresh element, so equality of keys is what is looked up
+            probe = BoxElement(tuple(sector.rig), tuple(sector.torsion), sector.coeffs)
+            assert sector_index(sectors, probe) == _scan_index(sectors, sector)
+    # the one twisted sector of p1xfootball is ((0, -1), ()); look up one
+    # key before it and one after it
+    sectors = twisted_sectors(fixture_fan("p1xfootball"))
+    for rig in ((-1, 0), (0, 1)):
+        with pytest.raises(KeyError, match=re.escape(
+                f"sector ({rig}, ()) missing from the canonical list; "
+                "box enumeration and q disagree")):
+            sector_index(sectors, BoxElement(rig, (), sectors[0].coeffs))
