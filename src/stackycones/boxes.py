@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm, prod
+from math import floor, prod
 from operator import mul
 from typing import Sequence
 
 from .fan import NElement, StackyFan, coeffs_in_cone
-from .linalg import IntVec, _bareiss, _echelon, unit_vector
+from .linalg import IntVec, _bareiss, cone_inverse
 
 # enumerate_box refuses fans with more box elements: walking that many takes
 # seconds; the largest fixture, test or benchmark input has 522
@@ -127,12 +127,12 @@ def _cone_group(fan: StackyFan, cone: Sequence[int]
     vectors = [fan.rays[i].free for i in cone]
     if len(vectors) != d:
         raise ValueError("parallelepiped enumeration needs a full-dimensional cone")
-    rows = tuple(zip(*vectors))
-    done = _echelon([row + unit_vector(d, j) for j, row in enumerate(rows)], range(d))
-    if len(done) < d:
+    inverse = cone_inverse(vectors)
+    if inverse is None:
         raise ValueError(f"cone {tuple(cone)} is not simplicial")
-    m = lcm(*(row[p] for p, row in done))
-    adj = [[x * (m // row[p]) % m for x in row[d:]] for p, row in done]
+    m, adj = inverse
+    adj = [[x % m for x in row] for row in adj]
+    rows = tuple(zip(*vectors))
     group = {(0,) * d}
     for g in zip(*adj):
         # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built so

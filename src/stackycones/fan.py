@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .cones import Cone, intersect
-from .linalg import IntVec, Number, RatVec, primitive, solve_square
+from .linalg import IntVec, RatVec, primitive, solve_square
 
 
 class FanStructureError(ValueError):
@@ -180,11 +181,15 @@ def validate(fan: StackyFan) -> ValidationReport:
 
     Checks: (a) nonzero rays, (b) simpliciality, (c) pairwise intersections
     of maximal cones are common faces, (d) completeness, (e) finite cokernel
-    of beta.  (d) is certified from the ridges (De Loera, Rambau and Santos,
+    of beta.  One integer elimination per full-dimensional maximal cone,
+    linalg.cone_inverse, decides (b) and gives the cone's facet normals.  (d)
+    is certified from the ridges (De Loera, Rambau and Santos,
     "Triangulations", 2010, 4.5): if each ridge lies in exactly two maximal
-    cones, on opposite sides of it, the cones cover every generic point k >= 1
-    times.  One generic point gives k; k = 1 also proves (c), so the pairwise
-    intersections are computed only otherwise, to name the pairs that fail.
+    cones, on opposite sides of it (the sign of one facet normal), the cones
+    cover every generic point k >= 1 times.  One generic point gives k; k = 1
+    also proves (c).  Otherwise a pair that a facet hyperplane separates
+    meets in a face (Cox, Little and Schenck, "Toric Varieties", Lemma
+    1.2.13), and each other pair runs a double description test.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -200,10 +205,13 @@ def validate(fan: StackyFan) -> ValidationReport:
             CheckResult("complete", False, "skipped: zero rays"),
             CheckResult("finite_cokernel", False, "skipped: zero rays")))
 
+    normals: list = []  # rows of m B^-1 per full-dimensional cone, else None
     bad_simplicial = []
     for cone in fan.max_cones:
         vectors = [fan.rays[i].free for i in cone]
-        if linalg.rank(vectors) != len(cone):
+        inverse = linalg.cone_inverse(vectors) if len(cone) == d else None
+        normals.append(inverse[1] if inverse else None)
+        if inverse is None and (len(cone) == d or linalg.rank(vectors) != len(cone)):
             bad_simplicial.append(cone)
     simplicial = not bad_simplicial
     checks.append(CheckResult(
@@ -211,12 +219,15 @@ def validate(fan: StackyFan) -> ValidationReport:
         "" if simplicial else f"linearly dependent cones: {bad_simplicial}"))
 
     if simplicial:
-        complete, covers = _completeness_check(fan)
+        complete, covers = _completeness_check(fan, normals)
         bad_pairs = []
         if covers != 1:
             cones = [_cone_of(fan, c) for c in fan.max_cones]
             for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
                 ca, cb = fan.max_cones[a], fan.max_cones[b]
+                if _facet_separates(fan, normals[a], ca, cb) or \
+                        _facet_separates(fan, normals[b], cb, ca):
+                    continue
                 # the cone on the common rays lies in both cones, so the two
                 # meet in it iff their intersection lies in it
                 face = _cone_of(fan, sorted(set(ca) & set(cb)))
@@ -240,15 +251,19 @@ def validate(fan: StackyFan) -> ValidationReport:
     return ValidationReport(fan.name, tuple(checks))
 
 
-def _ridge_det(fan: StackyFan, ridge: frozenset, y: Sequence[int]) -> Number:
-    """det[rays of the ridge in sorted order, y]: its sign is the side of the
-    ridge's hyperplane that y lies on."""
-    return linalg.det([fan.rays[i].free for i in sorted(ridge)] + [y])
+def _facet_separates(fan: StackyFan, normals: Optional[list], sigma: tuple, tau: tuple) -> bool:
+    """Whether some inner facet normal h of the maximal cone sigma has h.v <= 0
+    on every ray v of tau, = 0 only on rays of sigma.  Then sigma and tau
+    meet in h's hyperplane, where tau is the cone on their common rays."""
+    rays = [(i in sigma, fan.rays[i].free) for i in tau]
+    return normals is not None and any(
+        all((p := sum(map(mul, h, v))) < 0 or p == 0 and common for common, v in rays)
+        for h in normals)
 
 
-def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
-    """The completeness check, and how many maximal cones contain one
-    generic point when the ridges certify the fan (0 when they do not)."""
+def _completeness_check(fan: StackyFan, normals: list) -> tuple[CheckResult, int]:
+    """The completeness check, from the facet normals of the maximal cones, and
+    how many of them contain one generic point (0 unless the ridges certify)."""
     d = fan.dim
     if not fan.max_cones:
         return CheckResult("complete", False, "no maximal cones"), 0
@@ -261,18 +276,19 @@ def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
         problems.append(f"rays in no maximal cone: {unused}")
 
     if not problems:
-        # every ridge (facet of a maximal cone) must lie in exactly two
-        # maximal cones, whose apex rays lie on opposite sides of it
-        apexes: dict[frozenset, list[IntVec]] = {}
-        for cs in map(frozenset, fan.max_cones):
+        # every ridge (facet of a maximal cone) must lie in exactly two maximal
+        # cones, with apexes on opposite sides: its normal in one is < 0 on the other
+        ridges: dict[frozenset, list[tuple[list[int], IntVec]]] = {}
+        for cone, hs in zip(fan.max_cones, normals):
+            facets, cs = dict(zip(cone, hs)), frozenset(cone)
             for drop in cs:
-                apexes.setdefault(cs - {drop}, []).append(fan.rays[drop].free)
-        bad_ridges = {tuple(sorted(r)): len(a) for r, a in apexes.items() if len(a) != 2}
+                ridges.setdefault(cs - {drop}, []).append((facets[drop], fan.rays[drop].free))
+        bad_ridges = {tuple(sorted(r)): len(a) for r, a in ridges.items() if len(a) != 2}
         if bad_ridges:
             problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
         one_sided = [] if bad_ridges else [
-            tuple(sorted(r)) for r, (a, b) in apexes.items()
-            if _ridge_det(fan, r, a) * _ridge_det(fan, r, b) > 0]
+            tuple(sorted(r)) for r, ((h, _), (_, b)) in ridges.items()
+            if sum(map(mul, h, b)) > 0]
         if one_sided:
             problems.append(f"ridges whose two cones lie on one side: {one_sided}")
 
@@ -281,8 +297,8 @@ def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
         # a moment-curve point (1, s, s^2, ...) off every ridge's hyperplane;
         # the curve lies in no hyperplane, so only finitely many s fail
         curve = (tuple(s ** j for j in range(d)) for s in itertools.count(2))
-        point = next(p for p in curve if all(_ridge_det(fan, r, p) for r in apexes))
-        covers = sum(coeffs_in_cone(fan, c, point) is not None for c in fan.max_cones)
+        point = next(p for p in curve if all(sum(map(mul, h, p)) for (h, _), _ in ridges.values()))
+        covers = sum(all(sum(map(mul, h, point)) >= 0 for h in hs) for hs in normals)
         if d == 0 and covers > 1:  # no ridges glue them, and {0} is one cone
             problems.append(f"{covers} maximal cones in rank 0")
     return CheckResult("complete", not problems, "; ".join(problems)), covers

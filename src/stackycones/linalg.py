@@ -8,7 +8,8 @@ decided exactly.
 
 Elimination is fraction-free, in two integer loops: ``_echelon``
 (Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``solve_square``,
-``inverse`` and the cone engine, ``_bareiss`` behind ``rank`` and ``det``.
+``inverse``, ``cone_inverse`` (fan validation and the box walk) and the cone
+engine, ``_bareiss`` behind ``rank`` and ``det``.
 Rows are cleared of denominators first; only results are ``Fraction``s.
 
 Tuples built on every call of the sector pipeline are made from lists,
@@ -34,16 +35,6 @@ def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v) if a and b)
-
-
-def vadd(u: Sequence[Number], v: Sequence[Number]) -> RatVec:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Number, v: Sequence[Number]) -> RatVec:
-    return tuple(c * a for a in v)
 
 
 def vneg(v: Sequence[Number]) -> RatVec:
@@ -239,6 +230,19 @@ def kernel_basis(rows: Sequence[Sequence[Number]], ncols: Optional[int] = None) 
             v[p] = -row[j] * (mul // row[p])
         basis.append(canonical_line_direction(v))
     return tuple(sorted(basis))
+
+
+def cone_inverse(vectors: Sequence[Sequence[int]]) -> Optional[tuple[int, list[list[int]]]]:
+    """(m, m B^-1) for the least m > 0 making it integral, B the square integer
+    matrix with the given vectors as columns, by one elimination of [B | I];
+    None when B is singular.  Row k pairs to m with vector k and to 0 with the
+    others: the inner normal of the facet of cone(vectors) opposite vector k."""
+    d = len(vectors)
+    done = _echelon([row + unit_vector(d, j) for j, row in enumerate(zip(*vectors))], range(d))
+    if len(done) < d:
+        return None
+    m = lcm(*(row[p] for p, row in done))
+    return m, [[x * (m // row[p]) for x in row[d:]] for p, row in done]
 
 
 def _solve(rows: Sequence[Sequence[Number]], rhs: Sequence[Sequence[Number]]

@@ -118,6 +118,18 @@ def polygon_fan(rng: random.Random, kind: str, m: int) -> StackyFan:
                      name=f"prism{m}")
 
 
+def vadd(u, v):
+    """The sum of two vectors of equal length, as a tuple."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vscale(c, v):
+    """The vector v times the scalar c, as a tuple."""
+    return tuple(c * a for a in v)
+
+
 def random_n_element(fan: StackyFan, rng: random.Random, bound: int = 20) -> NElement:
     free = tuple(rng.randint(-bound, bound) for _ in range(fan.dim))
     torsion = tuple(rng.randrange(l) for l in fan.group.torsion_orders)

@@ -21,13 +21,15 @@ from conftest import (
     fixture_fan,
     fixture_path,
     random_n_element,
+    vadd,
+    vscale,
 )
 
 from stackycones.boxes import cone_parallelepiped_points, enumerate_box, twisted_sectors
 from stackycones.cli import main as cli_main
 from stackycones.cones import Cone
 from stackycones.fan import NElement, validate
-from stackycones.linalg import det, dot, rank, vadd, vscale
+from stackycones.linalg import det, dot, rank
 from stackycones.neron_severi import build_spaces, ray_divisor_classes
 from stackycones.orbcones import (
     build_xi,

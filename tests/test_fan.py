@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from conftest import (
@@ -8,17 +9,21 @@ from conftest import (
     fixture_fan,
     polygon_rays,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from stackycones.cones import intersect
 from stackycones.fan import (
     AbelianGroupSpec,
     FanStructureError,
     NElement,
     StackyFan,
+    _cone_of,
+    _facet_separates,
     ray_data,
     validate,
 )
+from stackycones.linalg import cone_inverse
 from stackycones.boxes import minimal_cone_coeffs
 
 
@@ -315,3 +320,55 @@ def test_certificate_matches_the_battery(dd_runs, seed, kind, mutation, m):
             "dual graph of maximal cones is disconnected"
         assert folded or covered_twice, (fan, report, oracle)
         assert not new["pairwise_intersections"].passed
+
+
+@st.composite
+def _cone_pairs(draw):
+    """A fan of two simplicial cones of dimension d = 2..4 on rays with
+    entries in [-3, 3], sharing k = 0..d-1 ray indices, each cone's rays in a
+    drawn order.  Rays may repeat a vector under another index."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(0, d - 1))
+    vector = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+    rays = draw(st.lists(vector, min_size=2 * d - k, max_size=2 * d - k))
+    sigma = draw(st.permutations(range(d)))
+    tau = draw(st.permutations(list(range(k)) + list(range(d, 2 * d - k))))
+    return _fan(d, rays, [tuple(sigma), tuple(tau)])
+
+
+def test_facet_shortcut_agrees_with_double_description():
+    # validate passes a pair without a DD run when a facet hyperplane of one
+    # cone separates them; the DD test must then find a face intersection
+    certified = Counter()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(fan=_cone_pairs())
+    def check(fan):
+        sigma, tau = fan.max_cones
+        inverses = [cone_inverse([fan.rays[i].free for i in c]) for c in (sigma, tau)]
+        assume(None not in inverses)
+        separated = (_facet_separates(fan, inverses[0][1], sigma, tau)
+                     or _facet_separates(fan, inverses[1][1], tau, sigma))
+        certified[separated] += 1
+        if separated:
+            face = _cone_of(fan, sorted(set(sigma) & set(tau)))
+            meet = intersect(_cone_of(fan, sigma), _cone_of(fan, tau))
+            assert all(face.contains(g) for g in meet.generators), fan
+
+    check()
+    # both outcomes occur, so neither branch passes vacuously
+    assert certified[True] > 0 and certified[False] > 0, certified
+
+
+@pytest.mark.parametrize("kind, m, mutation, runs", [
+    ("polygon", 12, "drop", 3),
+    ("prism", 6, "widen", 59),
+])
+def test_facet_normals_spare_pairwise_dd_runs(dd_runs, kind, m, mutation, runs):
+    # a 12-cone polygon with a dropped cone and a 6-prism with two
+    # overlapping cones; battery_validate runs the DD test on every pair
+    fan = _mutated_fan(random.Random(1), kind, m, mutation)
+    assert not validate(fan).ok
+    assert len(dd_runs) == runs
+    battery_validate(fan)
+    assert runs < len(dd_runs) - runs

@@ -3,12 +3,13 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from conftest import fraction_kernel_basis, fraction_rref
+from conftest import fraction_kernel_basis, fraction_rref, fraction_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackycones.linalg import (
     canonical_line_direction,
+    cone_inverse,
     det,
     dot,
     inverse,
@@ -211,3 +212,23 @@ def test_solve_round_trip(data):
     inv = inverse(rows)
     assert sympy.Matrix(inv) == oracle.inv()
     assert mat_vec(inv, y) == tuple(Fraction(a) for a in x)
+
+
+int_squares = st.integers(min_value=0, max_value=4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@given(int_squares)
+@settings(max_examples=100, deadline=None)
+def test_cone_inverse_is_least_integral_multiple_of_inverse(vectors):
+    # the vectors are the columns of B; fraction_solve gives B^-1
+    b = tuple(zip(*vectors))
+    inv = fraction_solve(b, [[int(i == j) for j in range(len(b))] for i in range(len(b))])
+    result = cone_inverse(vectors)
+    if inv is None:
+        assert result is None
+        return
+    m, adj = result
+    assert m == lcm(*(x.denominator for row in inv for x in row))
+    assert adj == [[m * x for x in row] for row in inv]

@@ -12,13 +12,15 @@ from conftest import (
     beta_variant,
     fixture_fan,
     random_n_element,
+    vadd,
+    vscale,
 )
 
 from stackycones.boxes import BoxElement, twisted_sectors
 from stackycones.cones import Cone
 from stackycones.fan import NElement, validate
 from stackycones.fanfile import fan_from_dict
-from stackycones.linalg import dot, vadd, vscale
+from stackycones.linalg import dot
 from stackycones.neron_severi import build_spaces
 from stackycones.orbcones import (
     _check_dual_basis,
