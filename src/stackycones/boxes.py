@@ -3,27 +3,28 @@ enumeration of box elements (= sectors; the nonzero ones are the twisted
 sectors).
 
 A lattice point y decomposes uniquely as y = sum_rho a_rho(y) * b_rho with
-a_rho(y) >= 0 supported on the rays of the minimal cone containing y.  Box
-elements are the y with every a_rho(y) < 1, crossed with the torsion part
-of the group.  Those of one full-dimensional maximal cone with ray matrix
-B represent the group Z^d / B Z^d of order |det B|, and are walked as that
-group (Borisov, Chen and Smith, "The orbifold Chow ring of toric
-Deligne-Mumford stacks", 2005), once per cone and in integers; coefficients
-are built only for the points kept.  The canonical ordering fixed here (rig
-part lexicographic, then torsion lexicographic) is the index order used by
-every downstream coordinate system.
+a_rho(y) >= 0 supported on the rays of the minimal cone containing y.  In
+the integer chart (m, m B^-1) of a full-dimensional maximal cone with ray
+matrix B (fan.cone_chart), y lies in the cone iff c = m B^-1 y >= 0; then
+a(y) = c / m, and q takes the residues c mod m.  Box elements are the y
+with every a_rho(y) < 1, crossed with the torsion part of the group.  Those
+of one cone represent the group Z^d / B Z^d of order |det B|, walked in the
+same chart (Borisov, Chen and Smith, "The orbifold Chow ring of toric
+Deligne-Mumford stacks", 2005); coefficients are built only for the points
+kept.  The canonical ordering (rig part lexicographic, then torsion
+lexicographic) is the index order of every downstream coordinate system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
-from .fan import NElement, StackyFan, coeffs_in_cone
-from .linalg import IntVec, _bareiss, cone_inverse
+from .fan import NElement, StackyFan, cone_chart
+from .linalg import IntVec, det
 
 # enumerate_box refuses fans with more box elements: walking that many takes
 # seconds; the largest fixture, test or benchmark input has 522
@@ -55,13 +56,6 @@ class ACoeffs:
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return self.entries
 
-    @staticmethod
-    def from_pairs(pairs) -> "ACoeffs":
-        entries = tuple(sorted((i, v) for i, v in pairs if v != 0))
-        if any(v <= 0 for _, v in entries):
-            raise ValueError("barycentric coefficients must be positive where present")
-        return ACoeffs(entries)
-
 
 @dataclass(frozen=True)
 class BoxElement:
@@ -80,59 +74,64 @@ class BoxElement:
         return NElement(self.rig, self.torsion)
 
 
-def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> ACoeffs:
-    """Coefficients of y on the rays of its minimal cone.
-
-    Scans maximal cones in input order, solves y = sum a_rho b_rho over the
-    first cone containing y, and keeps the strictly positive entries.  The
-    result is independent of which containing cone was hit because the
-    minimal-cone expression is unique.
-    """
+def _locate(fan: StackyFan, y: Sequence[int]) -> tuple[tuple[int, ...], list[int], int]:
+    """(cone, c, m) for the first maximal cone, in input order, that contains
+    y: with (m, m B^-1) its chart (fan.cone_chart), c = m B^-1 y >= 0, so y
+    has the coefficients c / m on the cone's rays."""
     y = tuple(y)
     if len(y) != fan.dim:
         raise ValueError(f"point has length {len(y)}, fan has dimension {fan.dim}")
     for cone in fan.max_cones:
-        sol = coeffs_in_cone(fan, cone, y)
-        if sol is not None:
-            return ACoeffs.from_pairs(zip(cone, sol))
+        chart = cone_chart(fan, cone)
+        if chart is not None:
+            m, rows = chart
+            c = [sum(map(mul, row, y)) for row in rows]
+            if all(x >= 0 for x in c):
+                return cone, c, m
     raise IncompleteFanError(f"fan not complete at {y}: no maximal cone contains it")
 
 
-def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
-    """Reduce an element of N to its box element: take fractional parts of
-    the ray coefficients of the free part; the torsion part passes through."""
-    return _fractional_part(fan, b, minimal_cone_coeffs(fan, b.free))
+def _coeffs(cone: Sequence[int], c: Sequence[int], m: int, fractions: dict) -> ACoeffs:
+    # c / m on the cone's rays, positive entries; fractions: (x, m) -> x / m
+    return ACoeffs(tuple([(i, fractions.get((x, m)) or fractions.setdefault((x, m), Fraction(x, m)))
+                          for i, x in sorted(zip(cone, c)) if x]))
 
 
-def _fractional_part(fan: StackyFan, b: NElement, coeffs: ACoeffs) -> BoxElement:
-    # q_reduce of b, given the ray coefficients of its free part
-    rig = list(b.free)
-    frac_pairs = []
-    for i, a in coeffs.items():
-        n = floor(a)
-        if n:
-            b_rig = fan.rays[i].free
-            rig = [x - n * v for x, v in zip(rig, b_rig)]
-        if a - n > 0:
-            frac_pairs.append((i, a - n))
-    return BoxElement(rig=tuple(rig),
+def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> ACoeffs:
+    """Coefficients of y on the rays of its minimal cone: c / m in the chart of
+    the first maximal cone containing y, positive entries only.  The result
+    is independent of which containing cone was hit because the
+    minimal-cone expression is unique."""
+    return _coeffs(*_locate(fan, y), {})
+
+
+def _reduce(fan: StackyFan, b: NElement, cone: Sequence[int], c: list[int], m: int) -> BoxElement:
+    # q(b) from the chart coordinates c of b.free: r = c mod m, point B r / m
+    r = [x % m for x in c]
+    rows = zip(*[fan.rays[i].free for i in cone])
+    return BoxElement(rig=tuple([sum(map(mul, row, r)) // m for row in rows]),
                       torsion=fan.group.reduce_torsion(b.torsion),
-                      coeffs=ACoeffs.from_pairs(frac_pairs))
+                      coeffs=_coeffs(cone, r, m, {}))
+
+
+def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
+    """Reduce an element of N to its box element: the fractional parts of the
+    free part's coefficients, c mod m in its chart; torsion passes through."""
+    return _reduce(fan, b, *_locate(fan, b.free))
 
 
 def _cone_group(fan: StackyFan, cone: Sequence[int]
                 ) -> tuple[int, list[tuple[IntVec, IntVec]]]:
     # the walk of cone_parallelepiped_points: m and the (point, c) pairs
     d = fan.dim
-    vectors = [fan.rays[i].free for i in cone]
-    if len(vectors) != d:
+    if len(cone) != d:
         raise ValueError("parallelepiped enumeration needs a full-dimensional cone")
-    inverse = cone_inverse(vectors)
-    if inverse is None:
+    chart = cone_chart(fan, cone)
+    if chart is None:
         raise ValueError(f"cone {tuple(cone)} is not simplicial")
-    m, adj = inverse
+    m, adj = chart
     adj = [[x % m for x in row] for row in adj]
-    rows = tuple(zip(*vectors))
+    rows = tuple(zip(*[fan.rays[i].free for i in cone]))
     group = {(0,) * d}
     for g in zip(*adj):
         # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built so
@@ -142,12 +141,6 @@ def _cone_group(fan: StackyFan, cone: Sequence[int]
             group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
             step = tuple([(x + y) % m for x, y in zip(step, g)])
     return m, [(tuple([sum(map(mul, row, c)) // m for row in rows]), c) for c in group]
-
-
-def _coeffs(cone: Sequence[int], c: IntVec, m: int, fractions: dict) -> ACoeffs:
-    # c / m on the cone's rays, positive entries; fractions: (x, m) -> x / m
-    return ACoeffs(tuple([(i, fractions.get((x, m)) or fractions.setdefault((x, m), Fraction(x, m)))
-                          for i, x in sorted(zip(cone, c)) if x]))
 
 
 def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
@@ -169,12 +162,9 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
 def _enumeration_size(fan: StackyFan) -> int:
     """An upper bound on the number of box elements: the parallelepiped
     point counts |det| of the full-dimensional maximal cones, summed, times
-    the torsion group's order; [1] stands for the rank-0 cone {0}."""
-    points = 0
-    for cone in fan.max_cones:
-        if len(cone) == fan.dim:
-            m = [list(fan.rays[i].free) for i in cone] or [[1]]
-            points += abs(m[-1][-1]) if _bareiss(m)[0] == len(m) else 0
+    the torsion group's order (the rank-0 cone {0} has det 1)."""
+    points = sum(int(abs(det([fan.rays[i].free for i in cone])))
+                 for cone in fan.max_cones if len(cone) == fan.dim)
     return points * prod(fan.group.torsion_orders)
 
 

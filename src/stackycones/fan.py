@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .cones import Cone, intersect
-from .linalg import IntVec, RatVec, primitive, solve_square
+from .linalg import IntVec, primitive
 
 
 class FanStructureError(ValueError):
@@ -165,15 +165,11 @@ def _cone_of(fan: StackyFan, ray_indices: Sequence[int]) -> Cone:
     return Cone(fan.dim, [fan.rays[i].free for i in ray_indices])
 
 
-def coeffs_in_cone(fan: StackyFan, cone: Sequence[int], y: Sequence[int]
-                   ) -> Optional[RatVec]:
-    """The coefficients of y on the rays of a full-dimensional simplicial
-    cone when y lies in it (all of them >= 0); None otherwise."""
-    if len(cone) != fan.dim:
-        return None
-    rows = tuple(zip(*(fan.rays[i].free for i in cone)))
-    sol = solve_square(rows, tuple(y))
-    return sol if sol is not None and all(a >= 0 for a in sol) else None
+def cone_chart(fan: StackyFan, cone: Sequence[int]) -> Optional[tuple[int, list[list[int]]]]:
+    """The integer chart (m, m B^-1) of a full-dimensional simplicial cone, B
+    its ray matrix (linalg.cone_inverse): a point y has the coefficients
+    m B^-1 y / m on the cone's rays.  None for any other cone."""
+    return linalg.cone_inverse([fan.rays[i].free for i in cone]) if len(cone) == fan.dim else None
 
 
 def validate(fan: StackyFan) -> ValidationReport:
@@ -208,10 +204,10 @@ def validate(fan: StackyFan) -> ValidationReport:
     normals: list = []  # rows of m B^-1 per full-dimensional cone, else None
     bad_simplicial = []
     for cone in fan.max_cones:
-        vectors = [fan.rays[i].free for i in cone]
-        inverse = linalg.cone_inverse(vectors) if len(cone) == d else None
+        inverse = cone_chart(fan, cone)
         normals.append(inverse[1] if inverse else None)
-        if inverse is None and (len(cone) == d or linalg.rank(vectors) != len(cone)):
+        if inverse is None and (len(cone) == d or linalg.rank(
+                [fan.rays[i].free for i in cone]) != len(cone)):
             bad_simplicial.append(cone)
     simplicial = not bad_simplicial
     checks.append(CheckResult(

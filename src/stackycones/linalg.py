@@ -8,8 +8,9 @@ decided exactly.
 
 Elimination is fraction-free, in two integer loops: ``_echelon``
 (Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``solve_square``,
-``inverse``, ``cone_inverse`` (fan validation and the box walk) and the cone
-engine, ``_bareiss`` behind ``rank`` and ``det``.
+``inverse``, ``cone_inverse`` (each simplicial cone's chart: fan validation,
+point location, the reduction q and the box walk) and the cone engine,
+``_bareiss`` behind ``rank`` and ``det``.
 Rows are cleared of denominators first; only results are ``Fraction``s.
 
 Tuples built on every call of the sector pipeline are made from lists,
@@ -97,6 +98,8 @@ def _clear_denominators(v: Sequence[Number]) -> tuple[list[int], int]:
 def _int_rows(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], int]:
     # Row scaling by positive numbers preserves rank, pivots and the
     # solutions of an augmented system; the scale's product is for det.
+    if all(type(a) is int for row in rows for a in row):
+        return [list(row) for row in rows], 1
     cleared = [_clear_denominators(row) for row in rows]
     return [ints for ints, _ in cleared], prod([mul for _, mul in cleared])
 

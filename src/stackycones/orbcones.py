@@ -43,10 +43,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
 from typing import Optional, Sequence
 
-from .boxes import BoxElement, _fractional_part, minimal_cone_coeffs, twisted_sectors
+from .boxes import BoxElement, _locate, _reduce, twisted_sectors
 from .cones import Cone
 from .fan import NElement, StackyFan
 # dot is not called here, but perfbench's tracer test reads orbcones.dot
@@ -155,14 +154,13 @@ def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
     """Class vector sum_rho a_rho(b) bb_rho + v_{q(b)} together with its
     decomposition data (floor multiplicities per ray, sector via q)."""
     b = b.reduced(fan.group)
-    coeffs = minimal_cone_coeffs(fan, b.free)
-    sector = _fractional_part(fan, b, coeffs)
-    dim = spaces.n + spaces.t
-    v = [Fraction(0)] * dim
+    cone, c, m = _locate(fan, b.free)
+    sector = _reduce(fan, b, cone, c, m)
+    v = [Fraction(0)] * (spaces.n + spaces.t)
     multiplicities = [0] * spaces.n
-    for i, a in coeffs.items():
-        v[i] = a * spaces.ray_cs[i]
-        multiplicities[i] = floor(a)
+    for i, x in zip(cone, c):
+        v[i] = Fraction(x * spaces.ray_cs[i], m)
+        multiplicities[i] = x // m
     if not sector.is_untwisted:
         v[spaces.n + sector_index(sectors, sector)] = Fraction(1)
     return OnePSClass(b=b, class_vector=tuple(v), sector=sector,

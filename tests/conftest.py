@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +14,9 @@ import pytest
 
 from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
                          load_fan, orbcones)
+from stackycones.boxes import ACoeffs
 from stackycones.cones import intersect
-from stackycones.fan import (CheckResult, ValidationReport, _cone_of, coeffs_in_cone,
-                             ray_data)
+from stackycones.fan import CheckResult, ValidationReport, _cone_of, ray_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
@@ -162,6 +163,15 @@ def dd_runs(monkeypatch) -> list:
     return _count_calls(monkeypatch, cones, "_halfspace_description")
 
 
+@contextmanager
+def counted_dd_runs():
+    """The dd_runs list, for one block of a hypothesis test: hypothesis
+    prints a fixture argument with a failure, and dd_runs grows over the
+    examples to tens of kB."""
+    with pytest.MonkeyPatch.context() as patch:
+        yield _count_calls(patch, cones, "_halfspace_description")
+
+
 @pytest.fixture
 def drop_last_dual_of_mov_ray(monkeypatch):
     """Make the second DD run inside each verify_duality call, dual(Mov),
@@ -263,6 +273,26 @@ def fraction_solve(rows, rhs):
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def coeffs_in_cone(fan: StackyFan, cone, y):
+    """The coefficients of y on the rays of a full-dimensional simplicial
+    cone when y lies in it (all of them >= 0), through fraction_solve; None
+    otherwise.  An oracle for the integer charts of boxes and fan."""
+    if len(cone) != fan.dim:
+        return None
+    rows = tuple(zip(*(fan.rays[i].free for i in cone)))
+    sol = fraction_solve(rows, [(a,) for a in y])
+    return None if sol is None or any(a < 0 for a, in sol) else tuple(a for a, in sol)
+
+
+def acoeffs_from_pairs(pairs) -> ACoeffs:
+    """The ACoeffs of rational (ray index, coefficient) pairs: zeros
+    dropped, sorted by ray, every kept coefficient checked positive."""
+    entries = tuple(sorted((i, v) for i, v in pairs if v != 0))
+    if any(v <= 0 for _, v in entries):
+        raise ValueError("barycentric coefficients must be positive where present")
+    return ACoeffs(entries)
 
 
 def battery_validate(fan: StackyFan) -> ValidationReport:

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import (
     FIXTURE_NAMES,
+    acoeffs_from_pairs,
     all_fixture_fans,
     beta_variant,
+    coeffs_in_cone,
     fixture_fan,
     fraction_solve,
     polygon_fan,
@@ -29,6 +32,8 @@ from stackycones.boxes import (
 )
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan
 from stackycones.linalg import det, mat_vec, unit_vector
+from stackycones.neron_severi import build_spaces
+from stackycones.orbcones import one_ps_class
 
 
 def test_football_coeffs_positive_side():
@@ -50,6 +55,22 @@ def test_incomplete_fan_error():
     half = StackyFan(AbelianGroupSpec(1), (NElement((1,)),), ((0,),), name="half")
     with pytest.raises(IncompleteFanError):
         minimal_cone_coeffs(half, (-1,))
+
+
+@pytest.mark.parametrize("free", [(), (1,), (1, 2, 3)])
+def test_points_of_the_wrong_length_raise(free):
+    # without the length check, zip would silently cut a long point short
+    # and read () as the origin
+    fan = fixture_fan("p2-c2")
+    sectors = twisted_sectors(fan)
+    spaces = build_spaces(fan, sectors)
+    b = NElement(free)
+    with pytest.raises(ValueError, match="point has length"):
+        minimal_cone_coeffs(fan, free)
+    with pytest.raises(ValueError, match="point has length"):
+        q_reduce(fan, b)
+    with pytest.raises(ValueError, match="point has length"):
+        one_ps_class(fan, sectors, spaces, b)
 
 
 def test_q_reduce_football_negative():
@@ -181,7 +202,7 @@ def _rational_parallelepiped_points(vectors):
     for point in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         a = mat_vec(inv, point)
         if all(0 <= x < 1 for x in a):
-            out.append((point, ACoeffs.from_pairs(zip(range(d), a))))
+            out.append((point, acoeffs_from_pairs(zip(range(d), a))))
     return out
 
 
@@ -219,7 +240,7 @@ def _box_oracle(fan):
     for cone in fan.max_cones:
         vectors = [fan.rays[i].free for i in cone]
         for point, coeffs in _rational_parallelepiped_points(vectors):
-            points.setdefault(point, ACoeffs.from_pairs(
+            points.setdefault(point, acoeffs_from_pairs(
                 (cone[k], a) for k, a in coeffs.items()))
     return tuple(BoxElement(rig, torsion, points[rig]) for rig in sorted(points)
                  for torsion in fan.group.torsion_elements())
@@ -272,3 +293,40 @@ def test_coefficients_built_once_per_box_point(monkeypatch, fan):
     monkeypatch.setattr(boxes, "ACoeffs", counting)
     box = enumerate_box(fan)
     assert len(built) == len({b.rig for b in box})
+
+
+@st.composite
+def _fans_with_points(draw):
+    # a fixture beta-variant or a polygon/prism fan, with the origin, a ray,
+    # a positive combination of the rays of a proper face of a maximal cone
+    # (a face that neighbouring cones share) and a random point
+    fan = draw(_beta_variants() | st.builds(
+        polygon_fan, st.randoms(use_true_random=False),
+        st.sampled_from(["polygon", "prism"]), st.integers(3, 6)))
+    d = fan.dim
+    cone = draw(st.sampled_from(fan.max_cones))
+    face = draw(st.lists(st.sampled_from(cone), unique=True, max_size=d - 1))
+    ks = [draw(st.integers(1, 3)) for _ in face]
+    frees = [(0,) * d, fan.rays[draw(st.sampled_from(cone))].free,
+             tuple(sum(k * fan.rays[i].free[j] for k, i in zip(ks, face)) for j in range(d)),
+             draw(st.tuples(*[st.integers(-20, 20)] * d))]
+    return fan, [NElement(free, tuple(draw(st.integers(0, l - 1))
+                                      for l in fan.group.torsion_orders))
+                 for free in frees]
+
+
+@given(_fans_with_points())
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_chart_route_matches_the_rational_oracle(fan_points):
+    fan, points = fan_points
+    box = set(enumerate_box(fan))
+    for b in points:
+        cone, sol = next((c, s) for c in fan.max_cones
+                         if (s := coeffs_in_cone(fan, c, b.free)) is not None)
+        assert minimal_cone_coeffs(fan, b.free) == acoeffs_from_pairs(zip(cone, sol))
+        reduced = q_reduce(fan, b)
+        assert reduced in box
+        # b.free - rig is the integer part: sum of floor(a_rho) b_rho
+        assert tuple(x - y for x, y in zip(b.free, reduced.rig)) == tuple(
+            sum(math.floor(a) * fan.rays[i].free[j] for i, a in zip(cone, sol))
+            for j in range(fan.dim))

@@ -6,10 +6,11 @@ from conftest import (
     FIXTURE_NAMES,
     all_fixture_fans,
     battery_validate,
+    counted_dd_runs,
     fixture_fan,
     polygon_rays,
 )
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stackycones.cones import intersect
@@ -295,15 +296,14 @@ def _mutated_fan(rng, kind, m, mutation):
     return _fan(len(rays[0]), rays, cones)
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), kind=st.sampled_from(["polygon", "prism"]),
        mutation=st.sampled_from(MUTATIONS), m=st.integers(3, 6))
-def test_certificate_matches_the_battery(dd_runs, seed, kind, mutation, m):
+def test_certificate_matches_the_battery(seed, kind, mutation, m):
     fan = _mutated_fan(random.Random(seed), kind, m, mutation)
-    before = len(dd_runs)
-    report = validate(fan)
-    runs = len(dd_runs) - before
+    with counted_dd_runs() as dd_runs:
+        report = validate(fan)
+    runs = len(dd_runs)
     oracle = battery_validate(fan)
     assert report.ok == oracle.ok
     if report.ok:
