@@ -47,12 +47,6 @@ class ACoeffs:
 
     entries: tuple[tuple[int, Fraction], ...]  # (ray index, value), sorted
 
-    def get(self, ray: int) -> Fraction:
-        for i, v in self.entries:
-            if i == ray:
-                return v
-        return Fraction(0)
-
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return self.entries
 

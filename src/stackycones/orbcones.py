@@ -15,9 +15,9 @@ with dual basis in U_orb
     Xi*_Y   = u_Y.
 
 Both bases are sparse: Xi_Y has at most d+1 nonzeros and Xi*_Y exactly
-one.  build_xi checks Xi* . Xi = I exactly on every entry as a sparse
-product that multiplies nonzeros only: O(t (d+1)^2) products, where the
-dense product would take (n+t)^3.
+one.  build_xi sets each row from its nonzeros and checks Xi* . Xi = I on
+every entry as a sparse product in integers, over each row's nonzeros
+cleared of denominators: O(t (d+1)^2) products, not the dense (n+t)^3.
 
 The movable cone is cone{Xi_eta} intersected with the curve space.  Since
 {Xi_eta} is a basis, the inequality description of cone{Xi_eta} is exactly
@@ -30,7 +30,7 @@ more and checks, by containment in both directions, that the result is the
 cone on the lambda_orb(Xi*_eta).  Both sides are double description runs
 on the same restricted functionals, so the check confirms the engine's
 biduality on each input; it is not an independent route.  Computing Mov by
-circuit enumeration (ROADMAP item 2) would give one that shares no engine.
+circuit enumeration (ROADMAP item 1) would give one that shares no engine.
 
 Analysis(fan) holds that chain for one fan, fan -> twisted sectors ->
 class spaces -> Xi/Xi* -> restricted functionals -> the PEff cone, and
@@ -43,13 +43,15 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from math import lcm
 from typing import Optional, Sequence
 
 from .boxes import BoxElement, _locate, _reduce, twisted_sectors
 from .cones import Cone
 from .fan import NElement, StackyFan
 # dot is not called here, but perfbench's tracer test reads orbcones.dot
-from .linalg import IntVec, Number, RatVec, dot, unit_vector  # noqa: F401
+from .linalg import IntVec, RatVec, dot, unit_vector  # noqa: F401
 from .neron_severi import (
     AmbientSpaces,
     OrbDivisorClass,
@@ -91,29 +93,24 @@ def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
              spaces: AmbientSpaces) -> XiSystem:
     """Construct both bases and check the exact dual-basis identity
     Xi* . Xi = I on every entry (see _check_dual_basis); both are square,
-    so the identity also proves that Xi is a basis."""
+    so the identity also proves that Xi is a basis.  Each row is set from
+    its nonzeros, in one pass over the sectors' coefficients."""
     n, t = spaces.n, spaces.t
     dim = n + t
-    # Xi_rho = bb_rho = c_rho * v_rho
-    xi = [tuple([c if j == i else 0 for j in range(dim)])
-          for i, c in enumerate(spaces.ray_cs)]
+    cs = spaces.ray_cs
+    xi = [[0] * dim for _ in range(dim)]
+    stars = [[0] * dim for _ in cs]
+    for i, c in enumerate(cs):
+        # Xi_rho = c_rho at rho; Xi*_rho = 1/c_rho at rho, -a_rho(Y) at each Y
+        xi[i][i], stars[i][i] = c, Fraction(1, c)
     for j, sector in enumerate(sectors):
-        v = [0] * dim
-        v[n + j] = 1
+        # Xi_Y = a_rho(Y) c_rho on the rays of its cone, and 1 at Y
+        xi[n + j][n + j] = 1
         for i, a in sector.coeffs.items():
-            v[i] += a * spaces.ray_cs[i]
-        xi.append(tuple(v))
-    xi_star = []
-    for i, c in enumerate(spaces.ray_cs):
-        u = [0] * dim
-        u[i] = Fraction(1, c)
-        for j, sector in enumerate(sectors):
-            a = sector.coeffs.get(i)
-            if a:
-                u[n + j] = -a
-        xi_star.append(tuple(u))
-    for j in range(t):
-        xi_star.append(unit_vector(dim, n + j))
+            xi[n + j][i] = a * cs[i]
+            stars[i][n + j] = -a
+    xi = [tuple(v) for v in xi]
+    xi_star = [tuple(u) for u in stars] + [unit_vector(dim, n + j) for j in range(t)]
     _check_dual_basis(xi, xi_star)
     return XiSystem(labels=spaces.labels, xi=tuple(xi), xi_star=tuple(xi_star))
 
@@ -122,31 +119,39 @@ def _check_dual_basis(xi: Sequence[RatVec], xi_star: Sequence[RatVec]) -> None:
     """Raise AssertionError unless <xi_star[a], xi[b]> is 1 for a == b and
     0 otherwise, for every pair of the two square lists.
 
-    The product is taken sparsely: each nonzero of Xi* is indexed by its
-    column once, and each Xi_b multiplies only its own nonzeros against
-    that index.  An entry (a, b) that no pair of nonzeros reaches is
-    exactly 0, so checking the entries reached, plus the diagonal entry
-    (b, b), checks the whole identity.  Xi_Y is supported on its sector
-    and the rays of its minimal cone, and a sector column of Xi* on the
-    same at most d+1 indices, so that is O(t (d+1)^2) products.
+    Every entry is read: each row's nonzeros, found by compress, are cleared
+    to integer numerators over one positive denominator (E_a for Xi*_a, D_b
+    for Xi_b), and <S_a, X_b> = delta_ab E_a D_b is checked in integers.
+    Each Xi_b multiplies only its own nonzeros against those of Xi*, indexed
+    by column.  An entry (a, b) that no pair of nonzeros reaches is exactly
+    0, so checking the entries reached, plus the diagonal entry (b, b),
+    checks the whole identity.  Xi_Y is supported on its sector and the rays
+    of its cone, and so is a sector column of Xi*: O(t (d+1)^2) products.
     """
-    by_column: list[list[tuple[int, Number]]] = [[] for _ in xi_star]
+    columns = range(len(xi_star))
+    by_column: list[list[tuple[int, int]]] = [[] for _ in columns]
+    star_dens = []
     for a, star in enumerate(xi_star):
-        for k, s in enumerate(star):
-            if s:
-                by_column[k].append((a, s))
+        nonzeros = list(compress(star, star))
+        den = lcm(*[x.denominator for x in nonzeros])
+        for k, x in zip(compress(columns, star), nonzeros):
+            by_column[k].append((a, x.numerator * (den // x.denominator)))
+        star_dens.append(den)
     for b, v in enumerate(xi):
+        nonzeros = list(compress(v, v))
+        den = lcm(*[x.denominator for x in nonzeros])
         entries = {b: 0}
-        for k, x in enumerate(v):
-            if x:
-                for a, s in by_column[k]:
-                    entries[a] = entries.get(a, 0) + s * x
+        for k, x in zip(compress(columns, v), nonzeros):
+            x = x.numerator * (den // x.denominator)
+            for a, s in by_column[k]:
+                entries[a] = entries.get(a, 0) + s * x
         for a, value in entries.items():
-            expected = 1 if a == b else 0
-            if value != expected:
+            scale = star_dens[a] * den
+            if value != (scale if a == b else 0):
                 raise AssertionError(
                     f"dual-basis identity fails at ({a}, {b}): "
-                    f"<{xi_star[a]}, {v}> = {value} != {expected}")
+                    f"<{xi_star[a]}, {v}> = {Fraction(value, scale)} "
+                    f"!= {1 if a == b else 0}")
 
 
 def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     random_n_element,
 )
 
+from stackycones import neron_severi
 from stackycones.boxes import twisted_sectors
 from stackycones.linalg import dot, rank, unit_vector
 from stackycones.neron_severi import (
@@ -188,3 +190,16 @@ def test_lambda_orb_matches_dense_curve_basis_dot():
             dense = tuple(dot(u, k) for k in spaces.curve_basis)
             assert got == dense, (fan.name, u)
             assert [type(x) for x in got] == [type(x) for x in dense], (fan.name, u)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda ker: ((ker[0][0] + 1,) + ker[0][1:],) + ker[1:], "lambda_orb . alpha_orb != 0"),
+    (lambda ker: ker[:-1], "kernel dimension disagrees with rank-nullity"),
+], ids=["wrong-vector", "vector-missing"])
+def test_build_spaces_checks_the_kernel(monkeypatch, corrupt, message):
+    real = neron_severi.kernel_basis
+    monkeypatch.setattr(neron_severi, "kernel_basis",
+                        lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+    for fan in all_fixture_fans():
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            build_spaces(fan, twisted_sectors(fan))

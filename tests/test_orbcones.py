@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -16,11 +18,12 @@ from conftest import (
     vscale,
 )
 
-from stackycones.boxes import BoxElement, twisted_sectors
+from stackycones import orbcones
+from stackycones.boxes import BoxElement, enumerate_box, twisted_sectors
 from stackycones.cones import Cone
-from stackycones.fan import NElement, validate
+from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
 from stackycones.fanfile import fan_from_dict
-from stackycones.linalg import dot
+from stackycones.linalg import dot, unit_vector
 from stackycones.neron_severi import build_spaces
 from stackycones.orbcones import (
     _check_dual_basis,
@@ -157,6 +160,87 @@ def test_build_xi_on_torsion_heavy_fan():
     _, spaces, xi = _pipeline(fan)
     assert spaces.t == 95
     assert _dense_identity_holds(xi.xi, xi.xi_star)
+
+
+def test_check_reads_the_rows_build_xi_returns(monkeypatch):
+    # Xi*_Y is unit_vector(dim, n + j); a stray nonzero in the next column,
+    # which nothing in the construction of Xi*_Y sets, must reach the check
+    def with_stray(dim, i):
+        v = [0] * dim
+        v[i], v[(i + 1) % dim] = 1, 7
+        return tuple(v)
+
+    monkeypatch.setattr(orbcones, "unit_vector", with_stray)
+    for name in ("football", "gerby-p1", "p1xfootball", "p2-c2"):
+        fan = fixture_fan(name)
+        sectors = twisted_sectors(fan)
+        spaces = build_spaces(fan, sectors)
+        assert spaces.t > 0
+        with pytest.raises(AssertionError, match="dual-basis identity fails"):
+            build_xi(fan, sectors, spaces)
+
+
+def weighted_projective_fan(w) -> StackyFan:
+    """P(1, w_1, ..., w_d): rays e_1, ..., e_d and -w, and every d of them
+    span a maximal cone."""
+    d = len(w)
+    rays = [unit_vector(d, i) for i in range(d)] + [tuple(-x for x in w)]
+    return StackyFan(AbelianGroupSpec(d), tuple(NElement(v) for v in rays),
+                     tuple(itertools.combinations(range(d + 1), d)), name=f"P(1,{w})")
+
+
+def product_fan(f: StackyFan, g: StackyFan) -> StackyFan:
+    """The product stacky fan over N_f x N_g."""
+    group = AbelianGroupSpec(f.dim + g.dim, f.group.torsion_orders + g.group.torsion_orders)
+    rays = ([NElement(r.free + (0,) * g.dim, r.torsion + (0,) * g.group.torsion_rank)
+             for r in f.rays]
+            + [NElement((0,) * f.dim + r.free, (0,) * f.group.torsion_rank + r.torsion)
+               for r in g.rays])
+    cones = tuple(a + tuple(f.n_rays + i for i in b)
+                  for a in f.max_cones for b in g.max_cones)
+    return StackyFan(group, tuple(rays), cones, name=f"{f.name}x{g.name}")
+
+
+@st.composite
+def _rank_four_to_six_fans(draw):
+    # (fan, w): P(1, w) for d = 4..6, or a product of two fixtures of
+    # dimension 2 (w None); then perhaps an extra Z/2 or Z/3 torsion factor
+    # with random residues
+    if draw(st.booleans()):
+        w = tuple(draw(st.lists(st.integers(1, 5), min_size=4, max_size=6)
+                       .filter(lambda w: math.gcd(*w) == 1)))
+        fan = weighted_projective_fan(w)
+    else:
+        w = None
+        names = st.sampled_from(("p2", "hirzebruch-f1", "p1xfootball", "p2-c2"))
+        fan = product_fan(fixture_fan(draw(names)), fixture_fan(draw(names)))
+    extra = draw(st.sampled_from(((), (2,), (3,))))
+    if extra:
+        fan = StackyFan(AbelianGroupSpec(fan.dim, fan.group.torsion_orders + extra),
+                        tuple(NElement(r.free, r.torsion + (draw(st.integers(0, extra[0] - 1)),))
+                              for r in fan.rays),
+                        fan.max_cones, name=fan.name + f"xZ/{extra[0]}")
+    return fan, w
+
+
+@given(_rank_four_to_six_fans())
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_xi_in_rank_four_to_six(fan_w):
+    fan, w = fan_w
+    assert 4 <= fan.dim <= 6 and validate(fan).ok
+    _, spaces, xi = _pipeline(fan)
+    n, d = spaces.n, spaces.d
+    assert _dense_identity_holds(xi.xi, xi.xi_star)
+    for j in range(spaces.t):
+        assert sum(1 for x in xi.xi[n + j] if x) <= d + 1
+        assert sum(1 for x in xi.xi_star[n + j] if x) == 1
+    if w is not None:
+        # Box(P(w_0, ..., w_d)) <-> the distinct k / w_i in [0, 1) (Coates,
+        # Corti, Lee and Tseng, Acta Math. 2009), here with w_0 = 1; each
+        # box point carries every torsion element
+        fractions = {Fraction(k, wi) for wi in (1,) + w for k in range(wi)}
+        assert len(enumerate_box(fan)) == len(fractions) * math.prod(
+            fan.group.torsion_orders)
 
 
 def test_one_ps_class_football_negative():
