@@ -4,7 +4,6 @@ starting from its stacky fan, with an instance-wise verifier for the
 generator description of the latter."""
 
 from .boxes import (
-    ACoeffs,
     BoxElement,
     EnumerationLimitError,
     IncompleteFanError,
@@ -26,17 +25,13 @@ from .fan import (
     ray_data,
     validate,
 )
-from .fanfile import FanFileError, fan_from_dict, fan_to_dict, load_fan, save_fan
+from .fanfile import FanFileError, fan_from_dict, fan_to_dict, load_fan
 from .neron_severi import (
     AmbientSpaces,
-    OrbCurveClass,
-    OrbDivisorClass,
     build_spaces,
     curve_class_from_v_orb,
-    curve_class_to_v_orb,
     eta_labels,
     lambda_orb,
-    pair,
     ray_divisor_classes,
 )
 from .orbcones import (
@@ -47,7 +42,6 @@ from .orbcones import (
     build_xi,
     mov_cone,
     one_ps_class,
-    peff_generators,
     restricted_functionals,
     sector_index,
     verify_duality,

@@ -41,14 +41,9 @@ class EnumerationLimitError(ValueError):
     its class spaces more than neron_severi.CLASS_SPACE_LIMIT coordinates."""
 
 
-@dataclass(frozen=True)
-class ACoeffs:
-    """Sparse ray-indexed coefficient vector; only positive entries stored."""
-
-    entries: tuple[tuple[int, Fraction], ...]  # (ray index, value), sorted
-
-    def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return self.entries
+# a_rho(y) on the rays of y's minimal cone: (ray index, value) pairs, sorted
+# by ray, positive values only
+Coeffs = tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ class BoxElement:
 
     rig: IntVec
     torsion: tuple[int, ...]
-    coeffs: ACoeffs
+    coeffs: Coeffs
 
     @property
     def is_untwisted(self) -> bool:
@@ -85,13 +80,13 @@ def _locate(fan: StackyFan, y: Sequence[int]) -> tuple[tuple[int, ...], list[int
     raise IncompleteFanError(f"fan not complete at {y}: no maximal cone contains it")
 
 
-def _coeffs(cone: Sequence[int], c: Sequence[int], m: int, fractions: dict) -> ACoeffs:
+def _coeffs(cone: Sequence[int], c: Sequence[int], m: int, fractions: dict) -> Coeffs:
     # c / m on the cone's rays, positive entries; fractions: (x, m) -> x / m
-    return ACoeffs(tuple([(i, fractions.get((x, m)) or fractions.setdefault((x, m), Fraction(x, m)))
-                          for i, x in sorted(zip(cone, c)) if x]))
+    return tuple([(i, fractions.get((x, m)) or fractions.setdefault((x, m), Fraction(x, m)))
+                  for i, x in sorted(zip(cone, c)) if x])
 
 
-def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> ACoeffs:
+def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> Coeffs:
     """Coefficients of y on the rays of its minimal cone: c / m in the chart of
     the first maximal cone containing y, positive entries only.  The result
     is independent of which containing cone was hit because the
@@ -138,7 +133,7 @@ def _cone_group(fan: StackyFan, cone: Sequence[int]
 
 
 def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
-                               ) -> list[tuple[IntVec, ACoeffs]]:
+                               ) -> list[tuple[IntVec, Coeffs]]:
     """Integer points of the half-open parallelepiped spanned by the b_rho
     of one maximal cone, i.e. {sum a_rho b_rho : 0 <= a_rho < 1}, sorted.
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .boxes import EnumerationLimitError, enumerate_box
@@ -48,16 +47,12 @@ class _UsageError(Exception):
     """An option value that the parser accepts but the fan rejects."""
 
 
-def _fmt_num(x) -> str:
-    return str(Fraction(x)) if not isinstance(x, int) else str(x)
-
-
 def _fmt_vec(v) -> str:
-    return "(" + ", ".join(_fmt_num(x) for x in v) + ")"
+    return "(" + ", ".join(map(str, v)) + ")"
 
 
 def _fmt_coeffs(coeffs, labels) -> str:
-    inner = ", ".join(f"{labels[i]}: {_fmt_num(a)}" for i, a in coeffs.items())
+    inner = ", ".join(f"{labels[i]}: {a}" for i, a in coeffs)
     return "{" + inner + "}"
 
 
@@ -111,7 +106,7 @@ def _box_entry_json(element, sector_label, labels):
         "rig": _int_vec_json(element.rig),
         "torsion": _int_vec_json(element.torsion),
         "coeffs": [{"ray": i, "label": labels[i], "value": fraction_json(a)}
-                   for i, a in element.coeffs.items()],
+                   for i, a in element.coeffs],
         "untwisted": element.is_untwisted,
         "label": sector_label,
     }
@@ -166,8 +161,8 @@ def cmd_ns(analysis: Analysis) -> Rendered:
         "dim_ns": spaces.dim_ns, "dim_ns_orb": spaces.dim_ns_orb,
         "curve_basis": [_int_vec_json(k) for k in spaces.curve_basis],
         "ray_classes": [{"label": spaces.labels[i],
-                         "E": _rat_vec_json(coarse.pairing),
-                         "E_stacky": _rat_vec_json(stacky.pairing)}
+                         "E": _rat_vec_json(coarse),
+                         "E_stacky": _rat_vec_json(stacky)}
                         for i, (coarse, stacky) in enumerate(classes)],
     }
     lines = [
@@ -180,8 +175,8 @@ def cmd_ns(analysis: Analysis) -> Rendered:
         lines.append(f"  e{j + 1} = {_fmt_vec(k)}")
     lines.append("divisor classes (pairing vectors on the curve basis):")
     for i, (coarse, stacky) in enumerate(classes):
-        lines.append(f"  E[{spaces.labels[i]}] = {_fmt_vec(coarse.pairing)}"
-                     f"   Es[{spaces.labels[i]}] = {_fmt_vec(stacky.pairing)}")
+        lines.append(f"  E[{spaces.labels[i]}] = {_fmt_vec(coarse)}"
+                     f"   Es[{spaces.labels[i]}] = {_fmt_vec(stacky)}")
     return body, lines, EXIT_OK
 
 
@@ -294,7 +289,7 @@ def cmd_class_of_1ps(analysis: Analysis, b: NElement) -> Rendered:
     for i, x in enumerate(cls.class_vector):
         if x != 0:
             label = spaces.labels[i]
-            class_terms.append(f"v[{label}]" if x == 1 else f"{_fmt_num(x)}*v[{label}]")
+            class_terms.append(f"v[{label}]" if x == 1 else f"{x}*v[{label}]")
     body = {
         "b": {"free": _int_vec_json(b.free), "torsion": _int_vec_json(b.torsion)},
         "class_vector": _rat_vec_json(cls.class_vector),

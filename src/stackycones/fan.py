@@ -65,9 +65,6 @@ class NElement:
     def reduced(self, group: AbelianGroupSpec) -> "NElement":
         return NElement(self.free, group.reduce_torsion(self.torsion))
 
-    def is_zero(self) -> bool:
-        return not any(self.free) and not any(self.torsion)
-
 
 @dataclass(frozen=True)
 class RayData:

@@ -1,4 +1,4 @@
-"""Loading and saving stacky fans as JSON documents.
+"""Loading stacky fans from JSON documents, and their dict form.
 
 Schema::
 
@@ -20,7 +20,6 @@ appear in this format; fan data is integral by definition.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
@@ -111,12 +110,7 @@ def load_fan(path: Union[str, Path]) -> StackyFan:
     return fan
 
 
-def save_fan(fan: StackyFan, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(fan_to_dict(fan), indent=2) + "\n",
-                          encoding="utf-8")
-
-
 def fraction_json(value) -> dict:
-    """Exact rational as {"num": ..., "den": ...} with decimal strings."""
-    f = Fraction(value)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    """Exact rational (an int or a Fraction) as {"num": ..., "den": ...}
+    with decimal strings."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}

@@ -7,10 +7,10 @@ package: cone membership and strict inequalities downstream must be
 decided exactly.
 
 Elimination is fraction-free, in two integer loops: ``_echelon``
-(Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``solve_square``,
-``inverse``, ``cone_inverse`` (each simplicial cone's chart: fan validation,
-point location, the reduction q and the box walk) and the cone engine,
-``_bareiss`` behind ``rank`` and ``det``.
+(Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``cone_inverse`` (each
+simplicial cone's chart: fan validation, point location, the reduction q
+and the box walk, and through it ``inverse`` and ``solve_square``) and the
+cone engine, ``_bareiss`` behind ``rank`` and ``det``.
 Rows are cleared of denominators first; only results are ``Fraction``s.
 
 Tuples built on every call of the sector pipeline are made from lists,
@@ -248,34 +248,31 @@ def cone_inverse(vectors: Sequence[Sequence[int]]) -> Optional[tuple[int, list[l
     return m, [[x * (m // row[p]) for x in row[d:]] for p, row in done]
 
 
-def _solve(rows: Sequence[Sequence[Number]], rhs: Sequence[Sequence[Number]]
-           ) -> Optional[list[list[Fraction]]]:
-    # rows of X with A X = B, for square A and the rows of B; None when A
-    # is singular.  Pivots are taken in A's n columns only, so there are n
-    # of them exactly when A is nonsingular.
+def inverse(rows: Sequence[Sequence[Number]]) -> Optional[Matrix]:
+    """Exact inverse of a square rational matrix; None when singular.
+
+    Clearing row i's denominators multiplies it by s_i > 0, giving S A with
+    S = diag(s_i), so A^-1 = (S A)^-1 S: cone_inverse's m (S A)^-1 with
+    column i scaled by s_i / m."""
     n = len(rows)
-    m = _int_rows([list(a) + list(b) for a, b in zip(rows, rhs)])[0]
-    done = _echelon(m, range(n))
-    if len(done) < n:
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse needs a square matrix")
+    cleared = [_clear_denominators(row) for row in rows]
+    chart = cone_inverse(list(zip(*[ints for ints, _ in cleared])))
+    if chart is None:
         return None
-    return [[Fraction(x, row[p]) for x in row[n:]] for p, row in done]
+    m, adj = chart
+    return tuple([tuple([Fraction(x * s, m) for x, (_, s) in zip(row, cleared)])
+                  for row in adj])
 
 
 def solve_square(rows: Sequence[Sequence[Number]], y: Sequence[Number]) -> Optional[RatVec]:
-    """Solve A x = y for square A; None when A is singular."""
+    """Solve A x = y for square A, as A^-1 y; None when A is singular."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("solve_square needs a square matrix")
     if len(y) != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has length {len(y)}")
-    sol = _solve(rows, [[b] for b in y])
-    return None if sol is None else tuple([x for x, in sol])
-
-
-def inverse(rows: Sequence[Sequence[Number]]) -> Optional[Matrix]:
-    """Exact inverse of a square rational matrix; None when singular."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("inverse needs a square matrix")
-    sol = _solve(rows, [unit_vector(n, i) for i in range(n)])
-    return None if sol is None else tuple([tuple(row) for row in sol])
+    inv = inverse(rows)
+    return None if inv is None else tuple([sum([a * b for a, b in zip(row, y)], Fraction(0))
+                                           for row in inv])

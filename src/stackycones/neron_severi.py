@@ -37,34 +37,6 @@ from .linalg import (
 
 
 @dataclass(frozen=True)
-class OrbDivisorClass:
-    """A class in the orbifold divisor space, stored as the pairing vector
-    against the fixed curve basis (length n - d + t)."""
-
-    pairing: RatVec
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairing", tuple(self.pairing))
-
-    def scaled(self, factor: Number) -> "OrbDivisorClass":
-        return OrbDivisorClass(tuple(factor * x for x in self.pairing))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.pairing)
-
-
-@dataclass(frozen=True)
-class OrbCurveClass:
-    """A class in the orbifold curve space, as coordinates in the fixed
-    curve basis."""
-
-    coords: RatVec
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-
-
-@dataclass(frozen=True)
 class AmbientSpaces:
     """Dimensions, structure matrices and the fixed curve basis.
 
@@ -142,34 +114,21 @@ def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces
     )
 
 
-def lambda_orb(spaces: AmbientSpaces, u: Sequence[Number]) -> OrbDivisorClass:
-    """Class of a U_orb vector: its pairing against the curve basis, whose
-    layout (see the module docstring) makes the sector part a copy of u's."""
+def lambda_orb(spaces: AmbientSpaces, u: Sequence[Number]) -> RatVec:
+    """Class of a U_orb vector: its pairing vector against the curve basis
+    (length n - d + t), whose layout (see the module docstring) makes the
+    sector part a copy of u's."""
     n = spaces.n
     if len(u) != n + spaces.t:
         raise ValueError(
             f"expected a U_orb vector of length {n + spaces.t}, got {len(u)}")
     rays = u[:n]
-    return OrbDivisorClass(tuple([dot(rays, k) for k in spaces.ker_beta_prime])
-                           + tuple(u[n:]))
+    return tuple([dot(rays, k) for k in spaces.ker_beta_prime]) + tuple(u[n:])
 
 
-def pair(divisor: OrbDivisorClass, curve: OrbCurveClass) -> Number:
-    """Intersection pairing, the dot product in the fixed coordinates."""
-    return dot(divisor.pairing, curve.coords)
-
-
-def curve_class_to_v_orb(spaces: AmbientSpaces, curve: OrbCurveClass) -> RatVec:
-    """The V_orb vector of a curve class."""
-    v = [0] * (spaces.n + spaces.t)
-    for c, k in zip(curve.coords, spaces.curve_basis):
-        if c != 0:
-            v = [x + c * y for x, y in zip(v, k)]
-    return tuple(v)
-
-
-def curve_class_from_v_orb(spaces: AmbientSpaces, v: Sequence[Number]) -> OrbCurveClass:
-    """Coordinates of a V_orb vector lying in the kernel of beta'_orb: each
+def curve_class_from_v_orb(spaces: AmbientSpaces, v: Sequence[Number]) -> RatVec:
+    """Coordinates in the curve basis of a V_orb vector lying in the kernel
+    of beta'_orb; a divisor class pairs with them by a dot product.  Each
     kernel basis vector k is the only one nonzero at some (free) column j,
     where v's coordinate on k is v[j] / k[j]; sector coordinates are v's."""
     n, ker = spaces.n, spaces.ker_beta_prime
@@ -179,16 +138,15 @@ def curve_class_from_v_orb(spaces: AmbientSpaces, v: Sequence[Number]) -> OrbCur
         raise ValueError("vector is not in the kernel of beta'_orb")
     free = [next(j for j in range(n) if k[j] and sum(1 for o in ker if o[j]) == 1)
             for k in ker]
-    return OrbCurveClass(tuple([Fraction(v[j], k[j]) for j, k in zip(free, ker)]
-                               + [Fraction(x) for x in v[n:]]))
+    return tuple([Fraction(v[j], k[j]) for j, k in zip(free, ker)]
+                 + [Fraction(x) for x in v[n:]])
 
 
-def ray_divisor_classes(spaces: AmbientSpaces, rho: int
-                        ) -> tuple[OrbDivisorClass, OrbDivisorClass]:
+def ray_divisor_classes(spaces: AmbientSpaces, rho: int) -> tuple[RatVec, RatVec]:
     """Classes of the coarse and the stacky ray divisor; the first equals
     c_rho times the second."""
     if not 0 <= rho < spaces.n:
         raise ValueError(f"ray index {rho} out of range")
     u = unit_vector(spaces.n + spaces.t, rho)
     coarse = lambda_orb(spaces, u)
-    return coarse, coarse.scaled(Fraction(1, spaces.ray_cs[rho]))
+    return coarse, tuple([Fraction(1, spaces.ray_cs[rho]) * x for x in coarse])

@@ -52,12 +52,7 @@ from .cones import Cone
 from .fan import NElement, StackyFan
 # dot is not called here, but perfbench's tracer test reads orbcones.dot
 from .linalg import IntVec, RatVec, dot, unit_vector  # noqa: F401
-from .neron_severi import (
-    AmbientSpaces,
-    OrbDivisorClass,
-    build_spaces,
-    lambda_orb,
-)
+from .neron_severi import AmbientSpaces, build_spaces, lambda_orb
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
     for j, sector in enumerate(sectors):
         # Xi_Y = a_rho(Y) c_rho on the rays of its cone, and 1 at Y
         xi[n + j][n + j] = 1
-        for i, a in sector.coeffs.items():
+        for i, a in sector.coeffs:
             xi[n + j][i] = a * cs[i]
             stars[i][n + j] = -a
     xi = [tuple(v) for v in xi]
@@ -184,10 +179,11 @@ def sector_index(sectors: Sequence[BoxElement], sector: BoxElement) -> int:
 
 def restricted_functionals(spaces: AmbientSpaces, xi: XiSystem) -> tuple[RatVec, ...]:
     """Each Xi*_eta restricted to the curve basis: the vector of pairings
-    with the basis vectors.  These are simultaneously the inequality
-    normals of cone{Xi_eta} on the curve space and the pairing vectors of
-    the pseudo-effective generators."""
-    return tuple([g.pairing for g in peff_generators(spaces, xi)])
+    with the basis vectors, rays first then sectors.  These are
+    simultaneously the inequality normals of cone{Xi_eta} on the curve space
+    and the classes lambda_orb(Xi*_eta) that generate the pseudo-effective
+    cone."""
+    return tuple([lambda_orb(spaces, star) for star in xi.xi_star])
 
 
 def mov_cone(spaces: AmbientSpaces, xi: XiSystem) -> Cone:
@@ -196,12 +192,6 @@ def mov_cone(spaces: AmbientSpaces, xi: XiSystem) -> Cone:
     then dualized."""
     constraints = restricted_functionals(spaces, xi)
     return Cone(spaces.dim_ns_orb, constraints).dual()
-
-
-def peff_generators(spaces: AmbientSpaces, xi: XiSystem) -> tuple[OrbDivisorClass, ...]:
-    """The generator description of the pseudo-effective cone: the classes
-    lambda_orb(Xi*_eta), rays first then sectors."""
-    return tuple(lambda_orb(spaces, star) for star in xi.xi_star)
 
 
 class Analysis:

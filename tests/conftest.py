@@ -14,7 +14,6 @@ import pytest
 
 from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
                          load_fan, orbcones)
-from stackycones.boxes import ACoeffs
 from stackycones.cones import intersect
 from stackycones.fan import CheckResult, ValidationReport, _cone_of, ray_data
 
@@ -129,6 +128,16 @@ def vadd(u, v):
 def vscale(c, v):
     """The vector v times the scalar c, as a tuple."""
     return tuple(c * a for a in v)
+
+
+def v_orb_of_curve(spaces, coords):
+    """The V_orb vector of the curve class with these coordinates in the
+    fixed curve basis: the combination of the basis vectors."""
+    v = [0] * (spaces.n + spaces.t)
+    for c, k in zip(coords, spaces.curve_basis):
+        if c != 0:
+            v = [x + c * y for x, y in zip(v, k)]
+    return tuple(v)
 
 
 def random_n_element(fan: StackyFan, rng: random.Random, bound: int = 20) -> NElement:
@@ -286,13 +295,14 @@ def coeffs_in_cone(fan: StackyFan, cone, y):
     return None if sol is None or any(a < 0 for a, in sol) else tuple(a for a, in sol)
 
 
-def acoeffs_from_pairs(pairs) -> ACoeffs:
-    """The ACoeffs of rational (ray index, coefficient) pairs: zeros
-    dropped, sorted by ray, every kept coefficient checked positive."""
+def acoeffs_from_pairs(pairs) -> tuple:
+    """The box coefficients a_rho of rational (ray index, coefficient)
+    pairs: zeros dropped, sorted by ray, every kept coefficient checked
+    positive."""
     entries = tuple(sorted((i, v) for i, v in pairs if v != 0))
     if any(v <= 0 for _, v in entries):
         raise ValueError("barycentric coefficients must be positive where present")
-    return ACoeffs(entries)
+    return entries
 
 
 def battery_validate(fan: StackyFan) -> ValidationReport:

@@ -34,7 +34,7 @@ from stackycones.neron_severi import build_spaces, ray_divisor_classes
 from stackycones.orbcones import (
     build_xi,
     one_ps_class,
-    peff_generators,
+    restricted_functionals,
     sector_index,
     verify_duality,
 )
@@ -80,7 +80,7 @@ def test_criterion_2_football_end_to_end():
         assert [b.rig for b in box] == [(-1,), (0,)]
         sectors = twisted_sectors(fan)
         assert len(sectors) == 1
-        assert sectors[0].coeffs.items() == ((1, Fraction(1, 2)),)
+        assert sectors[0].coeffs == ((1, Fraction(1, 2)),)
         spaces = build_spaces(fan, sectors)
         assert spaces.dim_ns_orb == 2
         xi = build_xi(fan, sectors, spaces)
@@ -175,7 +175,7 @@ def test_criterion_6_classical_reduction():
             report = verify_duality(fan)
             assert report.equal
             classical = Cone(spaces.dim_ns,
-                             [ray_divisor_classes(spaces, i)[0].pairing
+                             [ray_divisor_classes(spaces, i)[0]
                               for i in range(spaces.n)])
             corollary = Cone(spaces.dim_ns, report.corollary_classes)
             assert corollary.equals(classical), name
@@ -187,11 +187,11 @@ def test_criterion_6_classical_reduction():
                 continue
             spaces = build_spaces(fan, sectors)
             xi = build_xi(fan, sectors, spaces)
-            dropped = [c.pairing[:spaces.dim_ns]
-                       for c in peff_generators(spaces, xi)]
+            dropped = [c[:spaces.dim_ns]
+                       for c in restricted_functionals(spaces, xi)]
             projected = Cone(spaces.dim_ns, [v for v in dropped if any(v)])
             classical = Cone(spaces.dim_ns,
-                             [ray_divisor_classes(spaces, i)[0].pairing[:spaces.dim_ns]
+                             [ray_divisor_classes(spaces, i)[0][:spaces.dim_ns]
                               for i in range(spaces.n)])
             assert projected.equals(classical), name
 

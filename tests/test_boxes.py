@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from stackycones import boxes
 from stackycones.boxes import (
-    ACoeffs,
     BoxElement,
     IncompleteFanError,
     cone_parallelepiped_points,
@@ -38,17 +37,17 @@ from stackycones.orbcones import one_ps_class
 
 def test_football_coeffs_positive_side():
     coeffs = minimal_cone_coeffs(fixture_fan("football"), (5,))
-    assert coeffs.items() == ((0, Fraction(5)),)
+    assert coeffs == ((0, Fraction(5)),)
 
 
 def test_football_coeffs_negative_side():
     coeffs = minimal_cone_coeffs(fixture_fan("football"), (-3,))
-    assert coeffs.items() == ((1, Fraction(3, 2)),)
+    assert coeffs == ((1, Fraction(3, 2)),)
 
 
 def test_origin_has_empty_support():
     for fan in all_fixture_fans():
-        assert minimal_cone_coeffs(fan, (0,) * fan.dim).items() == ()
+        assert minimal_cone_coeffs(fan, (0,) * fan.dim) == ()
 
 
 def test_incomplete_fan_error():
@@ -76,7 +75,7 @@ def test_points_of_the_wrong_length_raise(free):
 def test_q_reduce_football_negative():
     box = q_reduce(fixture_fan("football"), NElement((-3,)))
     assert box.rig == (-1,)
-    assert box.coeffs.items() == ((1, Fraction(1, 2)),)
+    assert box.coeffs == ((1, Fraction(1, 2)),)
     assert not box.is_untwisted
 
 
@@ -90,7 +89,7 @@ def test_q_reduce_gerby_torsion_passthrough():
     box = q_reduce(fixture_fan("gerby-p1"), NElement((0,), (1,)))
     assert box.rig == (0,)
     assert box.torsion == (1,)
-    assert box.coeffs.items() == ()
+    assert box.coeffs == ()
     assert not box.is_untwisted
 
 
@@ -109,7 +108,7 @@ def test_enumerate_box_football():
     sectors = twisted_sectors(fan)
     assert len(sectors) == 1
     assert sectors[0].rig == (-1,)
-    assert sectors[0].coeffs.items() == ((1, Fraction(1, 2)),)
+    assert sectors[0].coeffs == ((1, Fraction(1, 2)),)
     # brute-force oracle on the window [-3, 3]: for y > 0 the coefficient
     # is y, for y < 0 it is |y|/2; box elements need it < 1
     expected = sorted((y,) for y in range(-3, 4)
@@ -123,13 +122,13 @@ def test_enumerate_box_gerby():
     assert [(b.rig, b.torsion) for b in box] == [((0,), (0,)), ((0,), (1,))]
     sectors = twisted_sectors(fan)
     assert [(b.rig, b.torsion) for b in sectors] == [((0,), (1,))]
-    assert sectors[0].coeffs.items() == ()
+    assert sectors[0].coeffs == ()
 
 
 def test_enumerate_box_p2_c2():
     fan = fixture_fan("p2-c2")
     sectors = twisted_sectors(fan)
-    assert [(b.rig, b.coeffs.items()) for b in sectors] == [
+    assert [(b.rig, b.coeffs) for b in sectors] == [
         ((1, 0), ((0, Fraction(1, 2)),))]
 
 
@@ -145,7 +144,7 @@ def test_parallelepiped_points_satisfy_strict_bounds():
     fan = fixture_fan("p1xfootball")
     for cone in fan.max_cones:
         for _, coeffs in cone_parallelepiped_points(fan, cone):
-            for _, a in coeffs.items():
+            for _, a in coeffs:
                 assert 0 < a < 1
 
 
@@ -165,7 +164,7 @@ def test_reconstruction_of_random_points():
             y = random_n_element(fan, rng).free
             coeffs = minimal_cone_coeffs(fan, y)
             recon = [Fraction(0)] * fan.dim
-            for i, a in coeffs.items():
+            for i, a in coeffs:
                 assert a > 0
                 recon = [r + a * b for r, b in zip(recon, fan.rays[i].free)]
             assert tuple(recon) == tuple(Fraction(v) for v in y)
@@ -241,7 +240,7 @@ def _box_oracle(fan):
         vectors = [fan.rays[i].free for i in cone]
         for point, coeffs in _rational_parallelepiped_points(vectors):
             points.setdefault(point, acoeffs_from_pairs(
-                (cone[k], a) for k, a in coeffs.items()))
+                (cone[k], a) for k, a in coeffs))
     return tuple(BoxElement(rig, torsion, points[rig]) for rig in sorted(points)
                  for torsion in fan.group.torsion_elements())
 
@@ -273,7 +272,7 @@ def test_enumerate_box_of_rank_zero_fan_with_torsion():
     assert box == _box_oracle(fan)
     assert [(b.rig, b.torsion) for b in box] == [
         ((), (a, b)) for a in range(2) for b in range(3)]
-    assert all(b.coeffs == ACoeffs(()) for b in box)
+    assert all(b.coeffs == () for b in box)
 
 
 @pytest.mark.parametrize("fan", [
@@ -284,13 +283,13 @@ def test_coefficients_built_once_per_box_point(monkeypatch, fan):
     # points of their common face; coefficients are built for the kept
     # point only
     built = []
-    original = boxes.ACoeffs
+    original = boxes._coeffs
 
     def counting(*args, **kwargs):
         built.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(boxes, "ACoeffs", counting)
+    monkeypatch.setattr(boxes, "_coeffs", counting)
     box = enumerate_box(fan)
     assert len(built) == len({b.rig for b in box})
 

@@ -9,6 +9,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    CLASSICAL_FIXTURES,
+    FIXTURE_NAMES,
     VERIFY_CURVE_DIM_CAP,
     all_fixture_fans,
     beta_variant,
@@ -23,14 +25,13 @@ from stackycones.boxes import BoxElement, enumerate_box, twisted_sectors
 from stackycones.cones import Cone
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
 from stackycones.fanfile import fan_from_dict
-from stackycones.linalg import dot, unit_vector
+from stackycones.linalg import dot, rank, unit_vector
 from stackycones.neron_severi import build_spaces
 from stackycones.orbcones import (
     _check_dual_basis,
     build_xi,
     mov_cone,
     one_ps_class,
-    peff_generators,
     restricted_functionals,
     sector_index,
     verify_duality,
@@ -189,6 +190,12 @@ def weighted_projective_fan(w) -> StackyFan:
                      tuple(itertools.combinations(range(d + 1), d)), name=f"P(1,{w})")
 
 
+def weighted_projective_box_size(w) -> int:
+    """|Box(P(1, w))|: the distinct fractions k / w_i in [0, 1), w_0 = 1
+    (Coates, Corti, Lee and Tseng, Acta Math. 2009)."""
+    return len({Fraction(k, wi) for wi in (1,) + tuple(w) for k in range(wi)})
+
+
 def product_fan(f: StackyFan, g: StackyFan) -> StackyFan:
     """The product stacky fan over N_f x N_g."""
     group = AbelianGroupSpec(f.dim + g.dim, f.group.torsion_orders + g.group.torsion_orders)
@@ -235,12 +242,51 @@ def test_xi_in_rank_four_to_six(fan_w):
         assert sum(1 for x in xi.xi[n + j] if x) <= d + 1
         assert sum(1 for x in xi.xi_star[n + j] if x) == 1
     if w is not None:
-        # Box(P(w_0, ..., w_d)) <-> the distinct k / w_i in [0, 1) (Coates,
-        # Corti, Lee and Tseng, Acta Math. 2009), here with w_0 = 1; each
-        # box point carries every torsion element
-        fractions = {Fraction(k, wi) for wi in (1,) + w for k in range(wi)}
-        assert len(enumerate_box(fan)) == len(fractions) * math.prod(
+        # each box point of P(w) carries every torsion element
+        assert len(enumerate_box(fan)) == weighted_projective_box_size(w) * math.prod(
             fan.group.torsion_orders)
+
+
+# |Box| of each fixture, as its golden `box` output lists
+FIXTURE_BOX_SIZES = {"p1": 1, "p2": 1, "hirzebruch-f1": 1, "football": 2,
+                     "gerby-p1": 2, "p1xfootball": 2, "p2-c2": 2}
+
+
+def _weights(d: int):
+    # w_1, ..., w_d of P(1, w) with -w primitive; all ones is P^d, smooth
+    return st.just((1,) * d) | st.lists(st.integers(1, 4), min_size=d, max_size=d).map(
+        tuple).filter(lambda w: math.gcd(*w) == 1)
+
+
+@st.composite
+def _product_fans(draw):
+    # (X, Y): P(w) x P(w') or P(w) x a fixture, of dimension at most 6, each
+    # factor with its |Box| and smoothness read off its weights or its name
+    w = draw(_weights(draw(st.integers(1, 4))))
+    first = (weighted_projective_fan(w), weighted_projective_box_size(w), set(w) == {1})
+    if draw(st.booleans()):
+        v = draw(_weights(draw(st.integers(1, 6 - len(w)))))
+        return first, (weighted_projective_fan(v), weighted_projective_box_size(v),
+                       set(v) == {1})
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    return first, (fixture_fan(name), FIXTURE_BOX_SIZES[name], name in CLASSICAL_FIXTURES)
+
+
+@given(_product_fans())
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_products_against_closed_forms(factors):
+    (x, box_x, smooth_x), (y, box_y, smooth_y) = factors
+    fan = product_fan(x, y)
+    assert fan.dim <= 6 and validate(fan).ok
+    sectors = twisted_sectors(fan)
+    assert len(enumerate_box(fan)) == box_x * box_y
+    t = box_x * box_y - 1
+    spaces = build_spaces(fan, sectors)
+    dim = x.n_rays + y.n_rays - fan.dim + t
+    assert spaces.t == t and len(spaces.curve_basis) == dim
+    assert rank(spaces.curve_basis) == dim
+    if smooth_x and smooth_y:
+        assert sectors == ()
 
 
 def test_one_ps_class_football_negative():
@@ -300,20 +346,20 @@ def test_mov_cone_p2_and_p1():
 def test_peff_generators_football():
     fan = fixture_fan("football")
     _, spaces, xi = _pipeline(fan)
-    classes = peff_generators(spaces, xi)
-    assert [tuple(c.pairing) for c in classes] == [
+    classes = restricted_functionals(spaces, xi)
+    assert [tuple(c) for c in classes] == [
         (1, 0), (Fraction(1, 2), Fraction(-1, 2)), (0, 1)]
-    cone = Cone(2, [c.pairing for c in classes])
+    cone = Cone(2, classes)
     assert cone.canonical_generators() == ((0, 1), (1, -1))
 
 
 def test_peff_generators_gerby():
     fan = fixture_fan("gerby-p1")
     _, spaces, xi = _pipeline(fan)
-    classes = peff_generators(spaces, xi)
+    classes = restricted_functionals(spaces, xi)
     # the purely-torsion sector has all a coefficients zero, so the ray
     # classes carry no sector corrections
-    assert [tuple(c.pairing) for c in classes] == [(1, 0), (1, 0), (0, 1)]
+    assert [tuple(c) for c in classes] == [(1, 0), (1, 0), (0, 1)]
 
 
 def test_verify_duality_fixtures(dd_runs):
@@ -375,11 +421,11 @@ def test_classical_projection_consistency():
 
     for fan in all_fixture_fans():
         sectors, spaces, xi = _pipeline(fan)
-        classes = peff_generators(spaces, xi)
-        dropped = [c.pairing[:spaces.dim_ns] for c in classes]
+        classes = restricted_functionals(spaces, xi)
+        dropped = [c[:spaces.dim_ns] for c in classes]
         projected = Cone(spaces.dim_ns, [v for v in dropped if any(v)])
         classical = Cone(spaces.dim_ns,
-                         [ray_divisor_classes(spaces, i)[0].pairing[:spaces.dim_ns]
+                         [ray_divisor_classes(spaces, i)[0][:spaces.dim_ns]
                           for i in range(spaces.n)])
         assert projected.equals(classical), fan.name
 
