@@ -24,10 +24,10 @@ from operator import mul
 from typing import Sequence
 
 from .fan import NElement, StackyFan, cone_chart
-from .linalg import IntVec, det
+from .linalg import IntVec
 
-# enumerate_box refuses fans with more box elements: walking that many takes
-# seconds; the largest fixture, test or benchmark input has 522
+# the box walks refuse a fan past this many box elements, counted cone by
+# cone: walking them takes seconds; the largest fixture, test or benchmark input has 522
 ENUMERATION_LIMIT = 10 ** 5
 
 
@@ -37,8 +37,8 @@ class IncompleteFanError(RuntimeError):
 
 
 class EnumerationLimitError(ValueError):
-    """The box of a fan could have more than ENUMERATION_LIMIT elements, or
-    its class spaces more than neron_severi.CLASS_SPACE_LIMIT coordinates."""
+    """A fan's box walks passed ENUMERATION_LIMIT box elements, counted cone by
+    cone, or its class spaces need more than neron_severi.CLASS_SPACE_LIMIT."""
 
 
 # a_rho(y) on the rays of y's minimal cone: (ray index, value) pairs, sorted
@@ -109,9 +109,10 @@ def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
     return _reduce(fan, b, *_locate(fan, b.free))
 
 
-def _cone_group(fan: StackyFan, cone: Sequence[int]
+def _cone_group(fan: StackyFan, cone: Sequence[int], walked: int = 0
                 ) -> tuple[int, list[tuple[IntVec, IntVec]]]:
-    # the walk of cone_parallelepiped_points: m and the (point, c) pairs
+    # the walk of cone_parallelepiped_points: m and the (point, c) pairs; it
+    # stops and raises once walked plus its points pass the limit // |torsion|
     d = fan.dim
     if len(cone) != d:
         raise ValueError("parallelepiped enumeration needs a full-dimensional cone")
@@ -121,14 +122,18 @@ def _cone_group(fan: StackyFan, cone: Sequence[int]
     m, adj = chart
     adj = [[x % m for x in row] for row in adj]
     rows = tuple(zip(*[fan.rays[i].free for i in cone]))
+    room = ENUMERATION_LIMIT // prod(fan.group.torsion_orders) - walked
     group = {(0,) * d}
     for g in zip(*adj):
         # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built so
-        # far, until k g lies in H
+        # far, until k g lies in H or the group outgrows the room
         subgroup, step = list(group), g
-        while step not in group:
+        while step not in group and len(group) <= room:
             group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
             step = tuple([(x + y) % m for x, y in zip(step, g)])
+    if len(group) > room:
+        raise EnumerationLimitError(f"fan '{fan.name}' is too large to enumerate: over "
+                                    f"{ENUMERATION_LIMIT} box elements, counted cone by cone")
     return m, [(tuple([sum(map(mul, row, c)) // m for row in rows]), c) for c in group]
 
 
@@ -142,19 +147,11 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
     integral and a point p has coefficients adj p / m.  So p -> adj p mod m
     maps Z^d / B Z^d onto the subgroup of (Z/m)^d that adj's columns
     generate, and each element c of it, taken in [0, m)^d, gives the point
-    B c / m.  The walk builds that subgroup, exactly |det B| elements.
+    B c / m.  The walk builds that subgroup, exactly |det B| elements, and
+    raises EnumerationLimitError past ENUMERATION_LIMIT // |torsion| of them.
     """
     m, points = _cone_group(fan, cone)
     return [(point, _coeffs(cone, c, m, {})) for point, c in sorted(points)]
-
-
-def _enumeration_size(fan: StackyFan) -> int:
-    """An upper bound on the number of box elements: the parallelepiped
-    point counts |det| of the full-dimensional maximal cones, summed, times
-    the torsion group's order (the rank-0 cone {0} has det 1)."""
-    points = sum(int(abs(det([fan.rays[i].free for i in cone])))
-                 for cone in fan.max_cones if len(cone) == fan.dim)
-    return points * prod(fan.group.torsion_orders)
 
 
 def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
@@ -167,17 +164,14 @@ def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     is exhaustive.  Each cone is walked once, in integers; the first cone
     to reach a point keeps it (the minimal-cone expression is unique), and
     coefficients are built once per kept point.  Raises
-    EnumerationLimitError, before enumerating, when the box could have more
-    than ENUMERATION_LIMIT elements, which also bounds the points walked.
+    EnumerationLimitError once the walks, of |det B| points each, pass
+    ENUMERATION_LIMIT // |torsion| in all: iff sum |det B| |torsion| > limit.
     """
-    elements = _enumeration_size(fan)
-    if elements > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"fan '{fan.name}' is too large to enumerate: up to {elements} "
-            f"box elements (limit {ENUMERATION_LIMIT})")
     kept: dict[IntVec, tuple] = {}
+    walked = 0
     for cone in fan.max_cones:
-        m, points = _cone_group(fan, cone)
+        m, points = _cone_group(fan, cone, walked)
+        walked += len(points)
         for point, c in points:
             kept.setdefault(point, (cone, c, m))
     torsion = tuple(fan.group.torsion_elements())

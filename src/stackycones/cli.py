@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .fan import NElement, StackyFan, ValidationReport, validate
 from .fan import ray_data as fan_ray_data
 from .fanfile import FanFileError, fraction_json, load_fan
 from .neron_severi import eta_labels, ray_divisor_classes
-from .orbcones import Analysis, one_ps_class, sector_index, verify_duality
+from .orbcones import Analysis, one_ps_class, verify_duality
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,11 +66,10 @@ def _int_vec_json(v) -> list:
 
 
 def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        print(json.dumps(doc, indent=2) if as_json else "\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader left (`| head`): drop the rest and the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # a renderer's document body, text lines and exit code
@@ -282,9 +282,9 @@ def _parse_b(text: str, fan: StackyFan) -> NElement:
 
 
 def cmd_class_of_1ps(analysis: Analysis, b: NElement) -> Rendered:
-    sectors, spaces = analysis.sectors, analysis.spaces
-    cls = one_ps_class(analysis.fan, sectors, spaces, b)
-    sec_idx = None if cls.sector.is_untwisted else sector_index(sectors, cls.sector)
+    spaces = analysis.spaces
+    cls = one_ps_class(analysis.fan, analysis.sectors, spaces, b)
+    sec_idx = cls.sector_index
     class_terms = []
     for i, x in enumerate(cls.class_vector):
         if x != 0:
@@ -308,7 +308,7 @@ def cmd_class_of_1ps(analysis: Analysis, b: NElement) -> Rendered:
     lines = [f"b = {_fmt_vec(b.free)};{_fmt_vec(b.torsion)}",
              "class = " + (" + ".join(class_terms) if class_terms else "0"),
              sector_line,
-             "decomposition = " + cls.decomposition_label(spaces.labels, sec_idx)]
+             "decomposition = " + cls.decomposition_label(spaces.labels)]
     return body, lines, EXIT_OK
 
 

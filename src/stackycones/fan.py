@@ -182,7 +182,7 @@ def validate(fan: StackyFan) -> ValidationReport:
     cover every generic point k >= 1 times.  One generic point gives k; k = 1
     also proves (c).  Otherwise a pair that a facet hyperplane separates
     meets in a face (Cox, Little and Schenck, "Toric Varieties", Lemma
-    1.2.13), and each other pair runs a double description test.
+    1.2.13); any other pair's DD intersection must lie in its common rays' span.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -221,11 +221,11 @@ def validate(fan: StackyFan) -> ValidationReport:
                 if _facet_separates(fan, normals[a], ca, cb) or \
                         _facet_separates(fan, normals[b], cb, ca):
                     continue
-                # the cone on the common rays lies in both cones, so the two
-                # meet in it iff their intersection lies in it
-                face = _cone_of(fan, sorted(set(ca) & set(cb)))
-                if not all(face.contains(g)
-                           for g in intersect(cones[a], cones[b]).generators):
+                # the cone on the common rays lies in both, so they meet in it iff
+                # their intersection does: in the simplicial ca, iff in their span
+                common = [fan.rays[i].free for i in set(ca) & set(cb)]
+                if any(linalg.rank(common + [g]) > len(common)
+                       for g in intersect(cones[a], cones[b]).generators):
                     bad_pairs.append((ca, cb))
         checks.append(CheckResult(
             "pairwise_intersections", not bad_pairs,

@@ -72,12 +72,12 @@ class OnePSClass:
     class_vector: RatVec          # in V_orb
     sector: BoxElement            # q(b); may be the untwisted element
     ray_multiplicities: tuple[int, ...]  # floor(a_rho(b)) per ray
+    sector_index: Optional[int]   # q(b)'s place among the sectors; None if untwisted
 
-    def decomposition_label(self, labels: Sequence[str],
-                            sector_index: Optional[int]) -> str:
+    def decomposition_label(self, labels: Sequence[str]) -> str:
         terms = []
-        if sector_index is not None:
-            terms.append(f"Xi[{labels[len(self.ray_multiplicities) + sector_index]}]")
+        if self.sector_index is not None:
+            terms.append(f"Xi[{labels[len(self.ray_multiplicities) + self.sector_index]}]")
         for i, m in enumerate(self.ray_multiplicities):
             if m:
                 terms.append(f"{m}*Xi[{labels[i]}]")
@@ -161,10 +161,11 @@ def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
     for i, x in zip(cone, c):
         v[i] = Fraction(x * spaces.ray_cs[i], m)
         multiplicities[i] = x // m
-    if not sector.is_untwisted:
-        v[spaces.n + sector_index(sectors, sector)] = Fraction(1)
+    j = None if sector.is_untwisted else sector_index(sectors, sector)
+    if j is not None:
+        v[spaces.n + j] = Fraction(1)
     return OnePSClass(b=b, class_vector=tuple(v), sector=sector,
-                      ray_multiplicities=tuple(multiplicities))
+                      ray_multiplicities=tuple(multiplicities), sector_index=j)
 
 
 def sector_index(sectors: Sequence[BoxElement], sector: BoxElement) -> int:

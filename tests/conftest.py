@@ -118,6 +118,15 @@ def polygon_fan(rng: random.Random, kind: str, m: int) -> StackyFan:
                      name=f"prism{m}")
 
 
+def weighted_projective_fan(w) -> StackyFan:
+    """P(1, w_1, ..., w_d): rays e_1, ..., e_d and -w, and every d of them
+    span a maximal cone."""
+    d = len(w)
+    rays = [linalg.unit_vector(d, i) for i in range(d)] + [tuple(-x for x in w)]
+    return StackyFan(AbelianGroupSpec(d), tuple(NElement(v) for v in rays),
+                     tuple(itertools.combinations(range(d + 1), d)), name=f"P(1,{w})")
+
+
 def vadd(u, v):
     """The sum of two vectors of equal length, as a tuple."""
     if len(u) != len(v):

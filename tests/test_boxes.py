@@ -1,11 +1,17 @@
+import io
 import itertools
+import json
 import math
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import (
     FIXTURE_NAMES,
+    _count_calls,
     acoeffs_from_pairs,
     all_fixture_fans,
     beta_variant,
@@ -14,12 +20,13 @@ from conftest import (
     fraction_solve,
     polygon_fan,
     random_n_element,
+    weighted_projective_fan,
 )
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stackycones import boxes
+from stackycones import boxes, linalg
 from stackycones.boxes import (
     BoxElement,
     IncompleteFanError,
@@ -29,7 +36,9 @@ from stackycones.boxes import (
     q_reduce,
     twisted_sectors,
 )
+from stackycones.cli import main
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan
+from stackycones.fanfile import fan_to_dict
 from stackycones.linalg import det, mat_vec, unit_vector
 from stackycones.neron_severi import build_spaces
 from stackycones.orbcones import one_ps_class
@@ -329,3 +338,63 @@ def test_chart_route_matches_the_rational_oracle(fan_points):
         assert tuple(x - y for x, y in zip(b.free, reduced.rig)) == tuple(
             sum(math.floor(a) * fan.rays[i].free[j] for i, a in zip(cone, sol))
             for j in range(fan.dim))
+
+
+def _leibniz_det(rows):
+    # the permutation expansion: shares no code with linalg
+    n = len(rows)
+    return sum((-1) ** sum(p[i] > p[j] for i, j in itertools.combinations(range(n), 2))
+               * math.prod(rows[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def _walk_size(fan):
+    # sum |det B| over the maximal cones, times the torsion group's order
+    return sum(abs(_leibniz_det([fan.rays[i].free for i in cone]))
+               for cone in fan.max_cones) * math.prod(fan.group.torsion_orders)
+
+
+def test_the_guard_refuses_exactly_past_the_limit(monkeypatch):
+    # the box walks refuse a fan iff sum |det B| * |torsion| exceeds the
+    # limit: enumerate_box, twisted_sectors and the CLI's box command (exit 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fan.json")
+
+        @given(_beta_variants()
+               | st.lists(st.integers(1, 6), min_size=1, max_size=4).map(
+                   lambda w: weighted_projective_fan(tuple(w))),
+               st.integers(-3, 3))
+        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        def check(fan, offset):
+            size = _walk_size(fan)
+            limit = max(size + offset, 0)
+            monkeypatch.setattr(boxes, "ENUMERATION_LIMIT", limit)
+            refused = size > limit
+            for walk in (enumerate_box, twisted_sectors):
+                try:
+                    walk(fan)
+                    assert not refused, (walk.__name__, fan, limit)
+                except boxes.EnumerationLimitError as err:
+                    assert refused, (walk.__name__, fan, limit, err)
+            Path(path).write_text(json.dumps(fan_to_dict(fan)))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["box", path])
+            assert code == (2 if refused else 0), (fan, limit)
+            if refused:
+                assert "too large to enumerate" in err.getvalue()
+                assert err.getvalue().count("\n") == 1
+
+        check()
+
+
+@pytest.mark.parametrize("fan", [
+    fixture_fan("p1xfootball"), polygon_fan(random.Random(3), "prism", 6),
+    weighted_projective_fan((2, 3, 5))], ids=["p1xfootball", "prism6", "P(1,2,3,5)"])
+def test_twisted_sectors_eliminates_once_per_cone(monkeypatch, fan):
+    # the walk is its own size guard: no determinant pre-pass
+    charts = _count_calls(monkeypatch, linalg, "cone_inverse")
+    dets = _count_calls(monkeypatch, linalg, "det")
+    twisted_sectors(fan)
+    assert len(charts) == len(fan.max_cones)
+    assert dets == []

@@ -289,6 +289,21 @@ def _torsion_line(tmp_path, order):
     return path
 
 
+def test_closed_pipe_exits_quietly(tmp_path):
+    # `stackycones xi torsion300.json | head -1`: the reader leaves after the
+    # first of about 550 kB, far past a 64 KiB pipe buffer, so the child is
+    # still printing; it keeps its exit code and writes nothing to stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stackycones", "xi", str(_torsion_line(tmp_path, 300))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT / "src")
+    assert proc.stdout.readline() == b"fan: torsion300\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_class_spaces_too_large_exit_two(tmp_path):
     # n + t = 2001 would need O((n + t)^2) entries for the class spaces
     results = _run_capped(_torsion_line(tmp_path, 2000),

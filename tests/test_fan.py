@@ -10,7 +10,7 @@ from conftest import (
     fixture_fan,
     polygon_rays,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stackycones.cones import intersect
@@ -338,31 +338,41 @@ def _cone_pairs(draw):
 
 def test_facet_shortcut_agrees_with_double_description():
     # validate passes a pair without a DD run when a facet hyperplane of one
-    # cone separates them; the DD test must then find a face intersection
-    certified = Counter()
+    # cone separates them, and tests any other pair's intersection against
+    # the span of the common rays; on every pair its verdict must be the DD
+    # face test's: the intersection lies in the cone on the common rays
+    outcomes = Counter()
 
+    # opposite quadrants and octants: no facet separates them, yet they meet
+    # in the cone on their common rays ({0}, then the ray e3)
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(fan=_cone_pairs())
+    @example(fan=_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (2, 3)]))
+    @example(fan=_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0)],
+                      [(0, 1, 2), (2, 3, 4)]))
     def check(fan):
         sigma, tau = fan.max_cones
         inverses = [cone_inverse([fan.rays[i].free for i in c]) for c in (sigma, tau)]
         assume(None not in inverses)
         separated = (_facet_separates(fan, inverses[0][1], sigma, tau)
                      or _facet_separates(fan, inverses[1][1], tau, sigma))
-        certified[separated] += 1
+        face = _cone_of(fan, sorted(set(sigma) & set(tau)))
+        meet = intersect(_cone_of(fan, sigma), _cone_of(fan, tau))
+        is_face = all(face.contains(g) for g in meet.generators)
+        outcomes[separated, is_face] += 1
         if separated:
-            face = _cone_of(fan, sorted(set(sigma) & set(tau)))
-            meet = intersect(_cone_of(fan, sigma), _cone_of(fan, tau))
-            assert all(face.contains(g) for g in meet.generators), fan
+            assert is_face, fan
+        checks = {c.name: c.passed for c in validate(fan).checks}
+        assert checks["pairwise_intersections"] == is_face, fan
 
     check()
-    # both outcomes occur, so neither branch passes vacuously
-    assert certified[True] > 0 and certified[False] > 0, certified
+    # every outcome occurs, so no branch passes vacuously
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}, outcomes
 
 
 @pytest.mark.parametrize("kind, m, mutation, runs", [
     ("polygon", 12, "drop", 3),
-    ("prism", 6, "widen", 59),
+    ("prism", 6, "widen", 44),
 ])
 def test_facet_normals_spare_pairwise_dd_runs(dd_runs, kind, m, mutation, runs):
     # a 12-cone polygon with a dropped cone and a 6-prism with two

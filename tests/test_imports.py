@@ -1,6 +1,9 @@
 """Every module of the package uses each name it imports, so a deletion
 cannot leave a dead import behind.  The package's ``__init__.py`` exists to
-re-export, and an import marked ``# noqa: F401`` is kept on purpose."""
+re-export, and an import marked ``# noqa: F401`` is kept on purpose.  Every
+module-level private function or class is referenced somewhere in the
+package outside its own body, so a deletion cannot leave a dead helper
+behind either."""
 
 import ast
 from pathlib import Path
@@ -9,8 +12,8 @@ import pytest
 
 import stackycones
 
-MODULES = sorted(p for p in Path(stackycones.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(stackycones.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -46,3 +49,44 @@ def test_detects_a_stray_import():
               "def f(x: Sequence[int]):\n"
               "    return x\n")
     assert unused_imports(source) == [("Fraction", 1)]
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    # names, attributes and imported names that a statement mentions
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each module-level def or class named _x that no
+    module-level statement of any source mentions, its own excepted."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = _referenced(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((module, node.name))
+                names.discard(node.name)
+            referenced |= names
+    return sorted((module, name) for module, name in defined if name not in referenced)
+
+
+def test_every_private_def_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_detects_a_dead_private_def():
+    sources = {"a.py": ("def _used():\n    return 1\n"
+                        "def _dead():\n    return _dead()\n"
+                        "class _Gone:\n    pass\n"),
+               "b.py": "from .a import _used\nx = _used()\n"}
+    assert unreferenced_private_defs(sources) == [("a.py", "_Gone"), ("a.py", "_dead")]

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import re
@@ -18,6 +17,7 @@ from conftest import (
     random_n_element,
     vadd,
     vscale,
+    weighted_projective_fan,
 )
 
 from stackycones import orbcones
@@ -25,7 +25,7 @@ from stackycones.boxes import BoxElement, enumerate_box, twisted_sectors
 from stackycones.cones import Cone
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
 from stackycones.fanfile import fan_from_dict
-from stackycones.linalg import dot, rank, unit_vector
+from stackycones.linalg import dot, rank
 from stackycones.neron_severi import build_spaces
 from stackycones.orbcones import (
     _check_dual_basis,
@@ -179,15 +179,6 @@ def test_check_reads_the_rows_build_xi_returns(monkeypatch):
         assert spaces.t > 0
         with pytest.raises(AssertionError, match="dual-basis identity fails"):
             build_xi(fan, sectors, spaces)
-
-
-def weighted_projective_fan(w) -> StackyFan:
-    """P(1, w_1, ..., w_d): rays e_1, ..., e_d and -w, and every d of them
-    span a maximal cone."""
-    d = len(w)
-    rays = [unit_vector(d, i) for i in range(d)] + [tuple(-x for x in w)]
-    return StackyFan(AbelianGroupSpec(d), tuple(NElement(v) for v in rays),
-                     tuple(itertools.combinations(range(d + 1), d)), name=f"P(1,{w})")
 
 
 def weighted_projective_box_size(w) -> int:
