@@ -182,7 +182,8 @@ def validate(fan: StackyFan) -> ValidationReport:
     cover every generic point k >= 1 times.  One generic point gives k; k = 1
     also proves (c).  Otherwise a pair that a facet hyperplane separates
     meets in a face (Cox, Little and Schenck, "Toric Varieties", Lemma
-    1.2.13); any other pair's DD intersection must lie in its common rays' span.
+    1.2.13); any other pair is intersected by one double description run,
+    and the intersection must lie in the span of the pair's common rays.
     """
     checks: list[CheckResult] = []
     d = fan.dim
