@@ -5,14 +5,15 @@ sectors).
 A lattice point y decomposes uniquely as y = sum_rho a_rho(y) * b_rho with
 a_rho(y) >= 0 supported on the rays of the minimal cone containing y.  In
 the integer chart (m, m B^-1) of a full-dimensional maximal cone with ray
-matrix B (fan.cone_chart), y lies in the cone iff c = m B^-1 y >= 0; then
-a(y) = c / m, and q takes the residues c mod m.  Box elements are the y
-with every a_rho(y) < 1, crossed with the torsion part of the group.  Those
-of one cone represent the group Z^d / B Z^d of order |det B|, walked in the
-same chart (Borisov, Chen and Smith, "The orbifold Chow ring of toric
-Deligne-Mumford stacks", 2005); coefficients are built only for the points
-kept.  The canonical ordering (rig part lexicographic, then torsion
-lexicographic) is the index order of every downstream coordinate system.
+matrix B (fan.charts, built once per fan), y lies in the cone iff
+c = m B^-1 y >= 0; then a(y) = c / m, and q takes the residues c mod m.
+Box elements are the y with every a_rho(y) < 1, crossed with the torsion
+part of the group.  Those of one cone represent the group Z^d / B Z^d of
+order |det B|, walked in the same chart (Borisov, Chen and Smith, "The
+orbifold Chow ring of toric Deligne-Mumford stacks", 2005); coefficients
+are built only for the points kept.  The canonical ordering (rig part
+lexicographic, then torsion lexicographic) is the index order of every
+downstream coordinate system.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .fan import NElement, StackyFan, cone_chart
+from .fan import NElement, StackyFan
 from .linalg import IntVec
 
 # the box walks refuse a fan past this many box elements, counted cone by
@@ -65,13 +66,12 @@ class BoxElement:
 
 def _locate(fan: StackyFan, y: Sequence[int]) -> tuple[tuple[int, ...], list[int], int]:
     """(cone, c, m) for the first maximal cone, in input order, that contains
-    y: with (m, m B^-1) its chart (fan.cone_chart), c = m B^-1 y >= 0, so y
-    has the coefficients c / m on the cone's rays."""
+    y: with (m, m B^-1) its chart in fan.charts, c = m B^-1 y >= 0, so y has
+    the coefficients c / m on the cone's rays."""
     y = tuple(y)
     if len(y) != fan.dim:
         raise ValueError(f"point has length {len(y)}, fan has dimension {fan.dim}")
-    for cone in fan.max_cones:
-        chart = cone_chart(fan, cone)
+    for cone, chart in zip(fan.max_cones, fan.charts):
         if chart is not None:
             m, rows = chart
             c = [sum(map(mul, row, y)) for row in rows]
@@ -109,16 +109,15 @@ def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
     return _reduce(fan, b, *_locate(fan, b.free))
 
 
-def _cone_group(fan: StackyFan, cone: Sequence[int], walked: int = 0
+def _cone_group(fan: StackyFan, k: int, walked: int = 0
                 ) -> tuple[int, list[tuple[IntVec, IntVec]]]:
-    # the walk of cone_parallelepiped_points: m and the (point, c) pairs; it
-    # stops and raises once walked plus its points pass the limit // |torsion|
-    d = fan.dim
+    # cone_parallelepiped_points' walk of maximal cone k: m and the (point, c)
+    # pairs; stops and raises once walked plus its points pass limit // |torsion|
+    d, cone, chart = fan.dim, fan.max_cones[k], fan.charts[k]
     if len(cone) != d:
         raise ValueError("parallelepiped enumeration needs a full-dimensional cone")
-    chart = cone_chart(fan, cone)
     if chart is None:
-        raise ValueError(f"cone {tuple(cone)} is not simplicial")
+        raise ValueError(f"cone {cone} is not simplicial")
     m, adj = chart
     adj = [[x % m for x in row] for row in adj]
     rows = tuple(zip(*[fan.rays[i].free for i in cone]))
@@ -142,15 +141,18 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
     """Integer points of the half-open parallelepiped spanned by the b_rho
     of one maximal cone, i.e. {sum a_rho b_rho : 0 <= a_rho < 1}, sorted.
 
-    One integer elimination of [B | I], B the ray matrix, gives rows
-    k_p (e_p | row p of B^-1); with m the lcm of the pivots, adj = m B^-1 is
-    integral and a point p has coefficients adj p / m.  So p -> adj p mod m
-    maps Z^d / B Z^d onto the subgroup of (Z/m)^d that adj's columns
-    generate, and each element c of it, taken in [0, m)^d, gives the point
-    B c / m.  The walk builds that subgroup, exactly |det B| elements, and
-    raises EnumerationLimitError past ENUMERATION_LIMIT // |torsion| of them.
+    The cone's chart (m, adj = m B^-1) in fan.charts, B the ray matrix, gives
+    a point p the coefficients adj p / m; a cone not in fan.max_cones has no
+    chart there and raises ValueError.  So p -> adj p mod m maps Z^d / B Z^d
+    onto the subgroup of (Z/m)^d that adj's columns generate, and each
+    element c of it, taken in [0, m)^d, gives the point B c / m.  The walk
+    builds that subgroup, exactly |det B| elements, and raises
+    EnumerationLimitError past ENUMERATION_LIMIT // |torsion| of them.
     """
-    m, points = _cone_group(fan, cone)
+    cone = tuple(cone)
+    if cone not in fan.max_cones:
+        raise ValueError(f"cone {cone} is not a maximal cone of fan '{fan.name}'")
+    m, points = _cone_group(fan, fan.max_cones.index(cone))
     return [(point, _coeffs(cone, c, m, {})) for point, c in sorted(points)]
 
 
@@ -169,8 +171,8 @@ def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     """
     kept: dict[IntVec, tuple] = {}
     walked = 0
-    for cone in fan.max_cones:
-        m, points = _cone_group(fan, cone, walked)
+    for k, cone in enumerate(fan.max_cones):
+        m, points = _cone_group(fan, k, walked)
         walked += len(points)
         for point, c in points:
             kept.setdefault(point, (cone, c, m))

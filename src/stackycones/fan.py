@@ -1,5 +1,6 @@
 """Stacky fan input model: a complete simplicial fan together with the map
-beta from the ray lattice into N = Z^d x prod Z/l_i, plus validation.
+beta from the ray lattice into N = Z^d x prod Z/l_i and the table of its
+maximal cones' charts (built once, read by every stage), plus validation.
 
 Rays are identified with their beta images: the geometric ray of index rho
 is the half-line spanned by the free part of beta(v_rho), so the condition
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -122,6 +124,13 @@ class StackyFan:
     def n_rays(self) -> int:
         return len(self.rays)
 
+    @cached_property
+    def charts(self) -> tuple[Optional[tuple[int, list[list[int]]]], ...]:
+        """Per maximal cone, in input order: its chart (m, m B^-1), B the ray
+        matrix (linalg.cone_inverse), or None if not full-dimensional and simplicial."""
+        return tuple([linalg.cone_inverse([self.rays[i].free for i in cone])
+                      if len(cone) == self.dim else None for cone in self.max_cones])
+
 
 def ray_data(fan: StackyFan) -> tuple[RayData, ...]:
     """Per-ray (b_rig, w, c, torsion) with b_rig = c * w, w primitive."""
@@ -162,20 +171,13 @@ def _cone_of(fan: StackyFan, ray_indices: Sequence[int]) -> Cone:
     return Cone(fan.dim, [fan.rays[i].free for i in ray_indices])
 
 
-def cone_chart(fan: StackyFan, cone: Sequence[int]) -> Optional[tuple[int, list[list[int]]]]:
-    """The integer chart (m, m B^-1) of a full-dimensional simplicial cone, B
-    its ray matrix (linalg.cone_inverse): a point y has the coefficients
-    m B^-1 y / m on the cone's rays.  None for any other cone."""
-    return linalg.cone_inverse([fan.rays[i].free for i in cone]) if len(cone) == fan.dim else None
-
-
 def validate(fan: StackyFan) -> ValidationReport:
     """Run the validation checks and report pass/fail per check.
 
     Checks: (a) nonzero rays, (b) simpliciality, (c) pairwise intersections
     of maximal cones are common faces, (d) completeness, (e) finite cokernel
-    of beta.  One integer elimination per full-dimensional maximal cone,
-    linalg.cone_inverse, decides (b) and gives the cone's facet normals.  (d)
+    of beta.  Each full-dimensional maximal cone's chart (fan.charts, one
+    integer elimination) decides (b) and gives the cone's facet normals.  (d)
     is certified from the ridges (De Loera, Rambau and Santos,
     "Triangulations", 2010, 4.5): if each ridge lies in exactly two maximal
     cones, on opposite sides of it (the sign of one facet normal), the cones
@@ -199,14 +201,10 @@ def validate(fan: StackyFan) -> ValidationReport:
             CheckResult("complete", False, "skipped: zero rays"),
             CheckResult("finite_cokernel", False, "skipped: zero rays")))
 
-    normals: list = []  # rows of m B^-1 per full-dimensional cone, else None
-    bad_simplicial = []
-    for cone in fan.max_cones:
-        inverse = cone_chart(fan, cone)
-        normals.append(inverse[1] if inverse else None)
-        if inverse is None and (len(cone) == d or linalg.rank(
-                [fan.rays[i].free for i in cone]) != len(cone)):
-            bad_simplicial.append(cone)
+    normals = [chart[1] if chart else None for chart in fan.charts]
+    bad_simplicial = [cone for cone, chart in zip(fan.max_cones, fan.charts)
+                      if chart is None and (len(cone) == d or linalg.rank(
+                          [fan.rays[i].free for i in cone]) != len(cone))]
     simplicial = not bad_simplicial
     checks.append(CheckResult(
         "simplicial", simplicial,

@@ -7,10 +7,10 @@ package: cone membership and strict inequalities downstream must be
 decided exactly.
 
 Elimination is fraction-free, in two integer loops: ``_echelon``
-(Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``cone_inverse`` (each
-simplicial cone's chart: fan validation, point location, the reduction q
-and the box walk, and through it ``inverse`` and ``solve_square``) and the
-cone engine, ``_bareiss`` behind ``rank`` and ``det``.
+(Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``cone_inverse`` (the
+chart table StackyFan.charts, read by fan validation, the box walk, point
+location and the reduction q; through it ``inverse`` and ``solve_square``)
+and the cone engine, ``_bareiss`` behind ``rank`` and ``det``.
 Rows are cleared of denominators first; only results are ``Fraction``s.
 
 Tuples built on every call of the sector pipeline are made from lists,

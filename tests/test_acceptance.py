@@ -14,12 +14,10 @@ from fractions import Fraction
 from conftest import (
     CLASSICAL_FIXTURES,
     FIXTURE_NAMES,
-    GOLDEN_DIR,
     VERIFY_CURVE_DIM_CAP,
     all_fixture_fans,
     beta_variant,
     fixture_fan,
-    fixture_path,
     random_n_element,
     vadd,
     vscale,
@@ -28,7 +26,7 @@ from conftest import (
 from stackycones.boxes import cone_parallelepiped_points, enumerate_box, twisted_sectors
 from stackycones.cli import main as cli_main
 from stackycones.cones import Cone
-from stackycones.fan import NElement, validate
+from stackycones.fan import NElement
 from stackycones.linalg import det, dot, rank
 from stackycones.neron_severi import build_spaces, ray_divisor_classes
 from stackycones.orbcones import (

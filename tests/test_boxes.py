@@ -33,6 +33,7 @@ from stackycones.boxes import (
     cone_parallelepiped_points,
     enumerate_box,
     minimal_cone_coeffs,
+    _locate,
     q_reduce,
     twisted_sectors,
 )
@@ -229,6 +230,37 @@ def test_parallelepiped_points_match_rational_scan(vectors):
                     (tuple(range(len(vectors))),))
     points = cone_parallelepiped_points(fan, range(len(vectors)))
     assert points == _rational_parallelepiped_points(vectors)
+
+
+@pytest.mark.parametrize("cone", [(1, 0), (0,), (0, 1, 2)])
+def test_parallelepiped_points_take_a_listed_maximal_cone_only(cone):
+    # the cone's chart is read from fan.charts, which has none for a cone
+    # that is not one of fan.max_cones, rays in the listed order
+    with pytest.raises(ValueError, match="is not a maximal cone"):
+        cone_parallelepiped_points(fixture_fan("p2"), cone)
+
+
+@pytest.mark.parametrize("cones, message", [
+    (((0,), (1, 2)), "needs a full-dimensional cone"),
+    (((0, 3), (1, 2)), r"cone \(0, 3\) is not simplicial"),
+])
+def test_parallelepiped_points_of_a_degenerate_maximal_cone_raise(cones, message):
+    rays = ((1, 0), (0, 1), (-1, -1), (2, 0))
+    fan = StackyFan(AbelianGroupSpec(2), tuple(NElement(v) for v in rays), cones)
+    with pytest.raises(ValueError, match=message):
+        cone_parallelepiped_points(fan, cones[0])
+
+
+def test_location_reads_the_chart_of_each_listed_position():
+    # p2 with its cone (0, 1) listed first as (1, 0): the first listed
+    # position that contains y gives the cone and c, in that ray order
+    p2 = fixture_fan("p2")
+    fan = StackyFan(p2.group, p2.rays, ((1, 0),) + p2.max_cones, name="p2-twice")
+    assert _locate(fan, (2, 3)) == ((1, 0), [3, 2], 1)
+    assert _locate(p2, (2, 3)) == ((0, 1), [2, 3], 1)
+    for y in itertools.product(range(-3, 4), repeat=2):
+        assert minimal_cone_coeffs(fan, y) == minimal_cone_coeffs(p2, y)
+        assert q_reduce(fan, NElement(y)) == q_reduce(p2, NElement(y))
 
 
 def test_smooth_fan_with_huge_rays_has_trivial_box():

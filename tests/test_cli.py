@@ -13,7 +13,7 @@ from conftest import (FIXTURE_NAMES, REPO_ROOT, _count_calls, fixture_fan,
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from stackycones import boxes, neron_severi, orbcones
+from stackycones import boxes, linalg, neron_severi, orbcones
 from stackycones.cli import main
 
 FOOTBALL = str(fixture_path("football"))
@@ -210,6 +210,20 @@ def test_each_stage_is_built_once_per_command(monkeypatch, dd_runs, command):
         for name, calls in stages.items():
             assert len(calls) <= 1, (command, fixture, name)
         assert len(dd_runs) == STAGE_DD_RUNS[command], (command, fixture)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_builds_each_chart_once(monkeypatch, command):
+    # validate, the box walk, point location and q read one chart table per
+    # fan: one integer elimination per maximal cone, whatever the command
+    charts = _count_calls(monkeypatch, linalg, "cone_inverse")
+    for fixture in FIXTURE_NAMES:
+        fan = fixture_fan(fixture)
+        extra = ["--b=" + ",".join(["-1"] * fan.dim)] if command == "class-of-1ps" else []
+        charts.clear()
+        code, _ = run_cli(command, str(fixture_path(fixture)), *extra)
+        assert code == 0, (command, fixture)
+        assert len(charts) == len(fan.max_cones), (command, fixture)
 
 
 def test_module_invocation_smoke():

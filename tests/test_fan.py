@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 from conftest import (
@@ -24,7 +25,6 @@ from stackycones.fan import (
     ray_data,
     validate,
 )
-from stackycones.linalg import cone_inverse
 from stackycones.boxes import minimal_cone_coeffs
 
 
@@ -352,7 +352,7 @@ def test_facet_shortcut_agrees_with_double_description():
                       [(0, 1, 2), (2, 3, 4)]))
     def check(fan):
         sigma, tau = fan.max_cones
-        inverses = [cone_inverse([fan.rays[i].free for i in c]) for c in (sigma, tau)]
+        inverses = fan.charts
         assume(None not in inverses)
         separated = (_facet_separates(fan, inverses[0][1], sigma, tau)
                      or _facet_separates(fan, inverses[1][1], tau, sigma))
@@ -382,3 +382,22 @@ def test_facet_normals_spare_pairwise_dd_runs(dd_runs, kind, m, mutation, runs):
     assert len(dd_runs) == runs
     battery_validate(fan)
     assert runs < len(dd_runs) - runs
+
+
+@pytest.mark.parametrize("cones", [
+    ((1, 0), (2, 1), (0, 2)),
+    ((0, 1), (1, 2), (0, 2), (0, 1)),
+    ((1, 0), (1, 2), (0, 2), (0, 1)),
+], ids=["reordered", "twice", "twice-reordered"])
+def test_validate_reads_the_chart_of_each_listed_position(cones):
+    # p2 with its cones' rays in another order, or a cone listed twice:
+    # fan.charts has one chart per listed position, rows in its ray order
+    p2 = fixture_fan("p2")
+    fan = StackyFan(p2.group, p2.rays, cones, name="p2-relisted")
+    for cone, (m, rows) in zip(cones, fan.charts):
+        for i, row in zip(cone, rows):
+            assert [sum(map(mul, row, fan.rays[j].free)) for j in cone] == \
+                [m if j == i else 0 for j in cone]
+    report = validate(fan)
+    assert report.ok == (len(cones) == 3)
+    assert report.checks == battery_validate(fan).checks

@@ -1,9 +1,9 @@
-"""Every module of the package uses each name it imports, so a deletion
-cannot leave a dead import behind.  The package's ``__init__.py`` exists to
-re-export, and an import marked ``# noqa: F401`` is kept on purpose.  Every
-module-level private function or class is referenced somewhere in the
-package outside its own body, so a deletion cannot leave a dead helper
-behind either."""
+"""Every module of the package and every test module uses each name it
+imports, so a deletion cannot leave a dead import behind.  The package's
+``__init__.py`` exists to re-export, and an import marked ``# noqa: F401``
+is kept on purpose.  Every module-level private function or class is
+referenced somewhere in the package outside its own body, so a deletion
+cannot leave a dead helper behind either."""
 
 import ast
 from pathlib import Path
@@ -13,7 +13,8 @@ import pytest
 import stackycones
 
 SOURCES = sorted(Path(stackycones.__file__).parent.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+MODULES = ([p for p in SOURCES if p.name != "__init__.py"]
+           + sorted(Path(__file__).parent.glob("*.py")))
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:

@@ -8,7 +8,6 @@ from conftest import (
     beta_variant,
     fixture_fan,
     fraction_solve,
-    random_n_element,
     v_orb_of_curve,
 )
 

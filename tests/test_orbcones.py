@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from conftest import (
     CLASSICAL_FIXTURES,
     FIXTURE_NAMES,
     VERIFY_CURVE_DIM_CAP,
+    _count_calls,
     all_fixture_fans,
     beta_variant,
     fixture_fan,
@@ -20,7 +22,7 @@ from conftest import (
     weighted_projective_fan,
 )
 
-from stackycones import orbcones
+from stackycones import linalg, orbcones
 from stackycones.boxes import BoxElement, enumerate_box, twisted_sectors
 from stackycones.cones import Cone
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
@@ -296,6 +298,21 @@ def test_one_ps_class_football_positive():
     assert tuple(cls.class_vector) == (5, 0, 0)
     assert cls.sector.is_untwisted
     assert cls.ray_multiplicities == (5, 0)
+
+
+@pytest.mark.parametrize("name", ["football", "hirzebruch-f1", "p1xfootball", "p2-c2", "P1^6"])
+def test_one_fan_builds_each_chart_once(monkeypatch, name):
+    # validate, the box walk, point location and q share the fan's chart
+    # table: one integer elimination per maximal cone for the whole run
+    rng = random.Random(name)
+    fan = reduce(product_fan, [fixture_fan("p1")] * 6) if name == "P1^6" \
+        else beta_variant(fixture_fan(name), rng)
+    charts = _count_calls(monkeypatch, linalg, "cone_inverse")
+    assert validate(fan).ok
+    sectors, spaces, _ = _pipeline(fan)
+    for _ in range(8):
+        one_ps_class(fan, sectors, spaces, random_n_element(fan, rng))
+    assert len(charts) == len(fan.max_cones)
 
 
 def test_one_ps_class_zero():
