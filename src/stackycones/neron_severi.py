@@ -66,8 +66,8 @@ class AmbientSpaces:
 
 
 # build_spaces refuses fans with more ray and sector coordinates n + t: the
-# curve basis and Xi hold O((n + t)^2) dense entries; at n + t = 481
-# `stackycones xi` takes about 0.7 s and 169 MB, mostly for its 1.4 MB of text
+# curve basis and the views of Xi hold O((n + t)^2) dense entries; at
+# n + t = 481 `stackycones xi` takes about 0.3 s and 169 MB (1.4 MB of text)
 CLASS_SPACE_LIMIT = 500
 
 

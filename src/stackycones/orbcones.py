@@ -15,9 +15,13 @@ with dual basis in U_orb
     Xi*_Y   = u_Y.
 
 Both bases are sparse: Xi_Y has at most d+1 nonzeros and Xi*_Y exactly
-one.  build_xi sets each row from its nonzeros and checks Xi* . Xi = I on
-every entry as a sparse product in integers, over each row's nonzeros
-cleared of denominators: O(t (d+1)^2) products, not the dense (n+t)^3.
+one.  XiSystem keeps each row as integers: one positive denominator and
+the (column, numerator) pairs of its nonzeros.  build_xi fills the rows
+from the sectors' coefficients with no Fraction arithmetic and checks
+Xi* . Xi = I on every entry as a sparse product of these rows:
+O(t (d+1)^2) integer products, not the dense (n+t)^3.  The dense rational
+rows are views, built when first read (by the CLI's xi output and by the
+restricted functionals).
 
 The movable cone is cone{Xi_eta} intersected with the curve space.  Since
 {Xi_eta} is a basis, the inequality description of cone{Xi_eta} is exactly
@@ -55,13 +59,38 @@ from .linalg import IntVec, RatVec, dot, unit_vector  # noqa: F401
 from .neron_severi import AmbientSpaces, build_spaces, lambda_orb
 
 
+# One row of Xi or Xi*: a positive denominator and the (column, integer
+# numerator) pairs of the row's nonzero entries.
+IntRow = tuple[int, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class XiSystem:
-    """The dual pair of bases, indexed by rays then sectors."""
+    """The dual pair of bases, indexed by rays then sectors, as integer rows.
+
+    ``xi`` (vectors in V_orb) and ``xi_star`` (in U_orb) are the same rows
+    as dense rational vectors, each built on first read and kept: the CLI's
+    ``xi`` output reads both, the restricted functionals read ``xi_star``."""
 
     labels: tuple[str, ...]
-    xi: tuple[RatVec, ...]        # vectors in V_orb
-    xi_star: tuple[RatVec, ...]   # vectors in U_orb
+    xi_rows: tuple[IntRow, ...]
+    star_rows: tuple[IntRow, ...]
+
+    @cached_property
+    def xi(self) -> tuple[RatVec, ...]:
+        return _rational_rows(self.xi_rows)
+
+    @cached_property
+    def xi_star(self) -> tuple[RatVec, ...]:
+        return _rational_rows(self.star_rows)
+
+
+def _rational_rows(rows: Sequence[IntRow]) -> tuple[RatVec, ...]:
+    dense = [[0] * len(rows) for _ in rows]
+    for v, (den, nonzeros) in zip(dense, rows):
+        for k, x in nonzeros:
+            v[k] = Fraction(x, den)
+    return tuple(map(tuple, dense))
 
 
 @dataclass(frozen=True)
@@ -86,67 +115,72 @@ class OnePSClass:
 
 def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
              spaces: AmbientSpaces) -> XiSystem:
-    """Construct both bases and check the exact dual-basis identity
-    Xi* . Xi = I on every entry (see _check_dual_basis); both are square,
-    so the identity also proves that Xi is a basis.  Each row is set from
-    its nonzeros, in one pass over the sectors' coefficients."""
+    """Construct both bases as integer rows and check the exact dual-basis
+    identity Xi* . Xi = I on every entry (see _check_dual_basis); both are
+    square, so the identity also proves that Xi is a basis.  Each row is set
+    from its nonzeros in one pass over the sectors' coefficients, over the
+    lcm of their denominators: no Fraction is built here."""
     n, t = spaces.n, spaces.t
-    dim = n + t
+    columns = range(n + t)
     cs = spaces.ray_cs
-    xi = [[0] * dim for _ in range(dim)]
-    stars = [[0] * dim for _ in cs]
-    for i, c in enumerate(cs):
-        # Xi_rho = c_rho at rho; Xi*_rho = 1/c_rho at rho, -a_rho(Y) at each Y
-        xi[i][i], stars[i][i] = c, Fraction(1, c)
-    for j, sector in enumerate(sectors):
+    # Xi_rho = c_rho at rho; Xi*_rho = 1/c_rho at rho, -a_rho(Y) at each Y,
+    # kept as (column, numerator, denominator) until its row is cleared
+    xi_rows = [(1, ((i, c),)) for i, c in enumerate(cs)]
+    star_entries = [[(i, 1, c)] for i, c in enumerate(cs)]
+    sector_stars = []
+    for y, sector in enumerate(sectors, n):
         # Xi_Y = a_rho(Y) c_rho on the rays of its cone, and 1 at Y
-        xi[n + j][n + j] = 1
+        den = 1
+        for _, a in sector.coeffs:
+            den = lcm(den, a.denominator)
+        row = []
         for i, a in sector.coeffs:
-            xi[n + j][i] = a * cs[i]
-            stars[i][n + j] = -a
-    xi = [tuple(v) for v in xi]
-    xi_star = [tuple(u) for u in stars] + [unit_vector(dim, n + j) for j in range(t)]
-    _check_dual_basis(xi, xi_star)
-    return XiSystem(labels=spaces.labels, xi=tuple(xi), xi_star=tuple(xi_star))
+            p, q = a.numerator, a.denominator
+            row.append((i, p * (den // q) * cs[i]))
+            star_entries[i].append((y, -p, q))
+        row.append((y, den))
+        xi_rows.append((den, tuple(row)))
+        # Xi*_Y = u_Y
+        u = unit_vector(n + t, y)
+        sector_stars.append((1, tuple([(k, u[k]) for k in compress(columns, u)])))
+    star_rows = []
+    for entries in star_entries:
+        den = lcm(*[q for _, _, q in entries])
+        star_rows.append((den, tuple([(k, p * (den // q)) for k, p, q in entries])))
+    star_rows += sector_stars
+    _check_dual_basis(xi_rows, star_rows)
+    return XiSystem(labels=spaces.labels, xi_rows=tuple(xi_rows),
+                    star_rows=tuple(star_rows))
 
 
-def _check_dual_basis(xi: Sequence[RatVec], xi_star: Sequence[RatVec]) -> None:
+def _check_dual_basis(xi: Sequence[IntRow], xi_star: Sequence[IntRow]) -> None:
     """Raise AssertionError unless <xi_star[a], xi[b]> is 1 for a == b and
-    0 otherwise, for every pair of the two square lists.
+    0 otherwise, for every pair of the two square lists of integer rows.
 
-    Every entry is read: each row's nonzeros, found by compress, are cleared
-    to integer numerators over one positive denominator (E_a for Xi*_a, D_b
-    for Xi_b), and <S_a, X_b> = delta_ab E_a D_b is checked in integers.
-    Each Xi_b multiplies only its own nonzeros against those of Xi*, indexed
-    by column.  An entry (a, b) that no pair of nonzeros reaches is exactly
-    0, so checking the entries reached, plus the diagonal entry (b, b),
-    checks the whole identity.  Xi_Y is supported on its sector and the rays
-    of its cone, and so is a sector column of Xi*: O(t (d+1)^2) products.
+    With E_a the denominator of Xi*_a and D_b that of Xi_b, the identity
+    reads <S_a, X_b> = delta_ab E_a D_b on their integer numerators.  Each
+    Xi_b multiplies only its own nonzeros against those of Xi*, indexed by
+    column, with the diagonal entry (b, b) started at -E_b D_b, so every
+    entry reached must end at 0.  An entry that no pair of nonzeros reaches
+    is exactly 0, and the diagonal is always visited, so this checks the
+    whole identity.  Xi_Y is supported on its sector and the rays of its
+    cone, and so is a sector column of Xi*: O(t (d+1)^2) products.
     """
-    columns = range(len(xi_star))
-    by_column: list[list[tuple[int, int]]] = [[] for _ in columns]
-    star_dens = []
-    for a, star in enumerate(xi_star):
-        nonzeros = list(compress(star, star))
-        den = lcm(*[x.denominator for x in nonzeros])
-        for k, x in zip(compress(columns, star), nonzeros):
-            by_column[k].append((a, x.numerator * (den // x.denominator)))
-        star_dens.append(den)
-    for b, v in enumerate(xi):
-        nonzeros = list(compress(v, v))
-        den = lcm(*[x.denominator for x in nonzeros])
-        entries = {b: 0}
-        for k, x in zip(compress(columns, v), nonzeros):
-            x = x.numerator * (den // x.denominator)
+    by_column: list[list[tuple[int, int]]] = [[] for _ in xi_star]
+    for a, (_, nonzeros) in enumerate(xi_star):
+        for k, s in nonzeros:
+            by_column[k].append((a, s))
+    for b, (den, nonzeros) in enumerate(xi):
+        entries = {b: -xi_star[b][0] * den}
+        for k, x in nonzeros:
             for a, s in by_column[k]:
                 entries[a] = entries.get(a, 0) + s * x
-        for a, value in entries.items():
-            scale = star_dens[a] * den
-            if value != (scale if a == b else 0):
-                raise AssertionError(
-                    f"dual-basis identity fails at ({a}, {b}): "
-                    f"<{xi_star[a]}, {v}> = {Fraction(value, scale)} "
-                    f"!= {1 if a == b else 0}")
+        if any(entries.values()):
+            a = next(a for a, value in entries.items() if value)
+            delta = 1 if a == b else 0
+            raise AssertionError(
+                f"dual-basis identity fails at ({a}, {b}): <{xi_star[a]}, {xi[b]}> = "
+                f"{Fraction(entries[a], xi_star[a][0] * den) + delta} != {delta}")
 
 
 def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],

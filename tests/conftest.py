@@ -139,6 +139,17 @@ def vscale(c, v):
     return tuple(c * a for a in v)
 
 
+def integer_rows(vectors) -> list:
+    """Dense rational rows in the form orbcones keeps Xi and Xi* in: per
+    row, the lcm of its entries' denominators and the (column, integer
+    numerator) pair of each nonzero entry."""
+    rows = []
+    for v in vectors:
+        den = math.lcm(*[Fraction(x).denominator for x in v])
+        rows.append((den, tuple((k, int(x * den)) for k, x in enumerate(v) if x)))
+    return rows
+
+
 def v_orb_of_curve(spaces, coords):
     """The V_orb vector of the curve class with these coordinates in the
     fixed curve basis: the combination of the basis vectors."""

@@ -212,6 +212,29 @@ def test_each_stage_is_built_once_per_command(monkeypatch, dd_runs, command):
         assert len(dd_runs) == STAGE_DD_RUNS[command], (command, fixture)
 
 
+# the rational views of XiSystem each command builds: xi_star for the
+# restricted functionals of mov, peff and verify, and both for xi's output
+VIEWS_BUILT = {"xi": ["xi", "xi_star"], "mov": ["xi_star"], "peff": ["xi_star"],
+               "verify": ["xi_star"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_builds_only_the_views_it_reads(monkeypatch, command):
+    built = []
+    for name in ("xi", "xi_star"):
+        view = vars(orbcones.XiSystem)[name]
+        monkeypatch.setattr(view, "func", lambda system, name=name, func=view.func:
+                            built.append(name) or func(system))
+    for fixture in FIXTURE_NAMES:
+        extra = ["--b=" + ",".join(["1"] * fixture_fan(fixture).dim)] \
+            if command == "class-of-1ps" else []
+        for json_flag in ([], ["--json"]):
+            built.clear()
+            code, _ = run_cli(command, str(fixture_path(fixture)), *extra, *json_flag)
+            assert code == 0, (command, fixture)
+            assert sorted(built) == VIEWS_BUILT.get(command, []), (command, fixture)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_command_builds_each_chart_once(monkeypatch, command):
     # validate, the box walk, point location and q read one chart table per

@@ -6,7 +6,7 @@ from functools import reduce
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import (
     CLASSICAL_FIXTURES,
@@ -16,6 +16,7 @@ from conftest import (
     all_fixture_fans,
     beta_variant,
     fixture_fan,
+    integer_rows,
     random_n_element,
     vadd,
     vscale,
@@ -89,25 +90,60 @@ def test_check_dual_basis_rejects_mutated_bases():
         _, _, xi = _pipeline(fixture_fan(name))
         xi_star = xi.xi_star
         dim = len(xi_star)
-        _check_dual_basis(xi.xi, xi_star)
+        rows = integer_rows(xi.xi)
+        _check_dual_basis(rows, integer_rows(xi_star))
         for a in range(dim):
             # every off-diagonal Xi* entry, zero or not, perturbed
             for k in range(dim):
                 if k != a:
                     mutated = _with_entry(xi_star, a, k, xi_star[a][k] + Fraction(1, 3))
                     with pytest.raises(AssertionError):
-                        _check_dual_basis(xi.xi, mutated)
+                        _check_dual_basis(rows, integer_rows(mutated))
             # every diagonal entry scaled
             mutated = _with_entry(xi_star, a, a, 2 * xi_star[a][a])
             with pytest.raises(AssertionError):
-                _check_dual_basis(xi.xi, mutated)
+                _check_dual_basis(rows, integer_rows(mutated))
         for b in range(dim):
             # Xi_b's support misses Xi*_b, so no pair of nonzeros reaches the
             # diagonal entry (b, b); the check must still visit it
             mutated = list(xi.xi)
             mutated[b] = (0,) * dim
             with pytest.raises(AssertionError, match=rf"fails at \({b}, {b}\)"):
-                _check_dual_basis(mutated, xi_star)
+                _check_dual_basis(integer_rows(mutated), integer_rows(xi_star))
+
+
+def _replaced(rows, a, row):
+    out = list(rows)
+    out[a] = row
+    return out
+
+
+def test_check_dual_basis_rejects_mutated_integer_rows():
+    # the rows build_xi keeps, mutated in their own form
+    for name in ("football", "gerby-p1", "p1xfootball", "p2-c2"):
+        _, spaces, xi = _pipeline(fixture_fan(name))
+        dim = spaces.n + spaces.t
+        assert spaces.t > 0
+        for a in range(dim):
+            for which in ("xi", "star"):
+                rows = xi.xi_rows if which == "xi" else xi.star_rows
+                den, nonzeros = rows[a]
+                # a wrong row denominator, and each nonzero dropped
+                wrong = [(den + 1, nonzeros)] + [
+                    (den, nonzeros[:k] + nonzeros[k + 1:]) for k in range(len(nonzeros))]
+                for row in wrong:
+                    mutated = _replaced(rows, a, row)
+                    pair = (mutated, xi.star_rows) if which == "xi" else (xi.xi_rows, mutated)
+                    with pytest.raises(AssertionError, match="dual-basis identity fails at"):
+                        _check_dual_basis(*pair)
+        for y in range(spaces.n, dim):
+            # an extra nonzero in Xi*_Y, at every other column
+            den, nonzeros = xi.star_rows[y]
+            for k in range(dim):
+                if k != y:
+                    mutated = _replaced(xi.star_rows, y, (den, tuple(sorted(nonzeros + ((k, 1),)))))
+                    with pytest.raises(AssertionError, match="dual-basis identity fails at"):
+                        _check_dual_basis(xi.xi_rows, mutated)
 
 
 # zero in 5 draws of 12, so the pairs are sparse
@@ -146,19 +182,23 @@ def square_pairs(draw):
 def test_check_dual_basis_agrees_with_dense_product(pair):
     xi, xi_star = pair
     if _dense_identity_holds(xi, xi_star):
-        _check_dual_basis(xi, xi_star)
+        _check_dual_basis(integer_rows(xi), integer_rows(xi_star))
     else:
         with pytest.raises(AssertionError):
-            _check_dual_basis(xi, xi_star)
+            _check_dual_basis(integer_rows(xi), integer_rows(xi_star))
 
 
-def test_build_xi_on_torsion_heavy_fan():
+def torsion_heavy_fan() -> StackyFan:
     # 8 rig points times the torsion group Z/3 x Z/4 give 95 twisted sectors
-    fan = fan_from_dict({
+    return fan_from_dict({
         "name": "torsion-heavy", "rank": 1, "torsion": [3, 4],
         "rays": [{"beta_free": [5], "beta_torsion": [0, 0]},
                  {"beta_free": [-4], "beta_torsion": [0, 0]}],
         "max_cones": [[0], [1]]})
+
+
+def test_build_xi_on_torsion_heavy_fan():
+    fan = torsion_heavy_fan()
     assert validate(fan).ok
     _, spaces, xi = _pipeline(fan)
     assert spaces.t == 95
@@ -280,6 +320,62 @@ def test_products_against_closed_forms(factors):
     assert rank(spaces.curve_basis) == dim
     if smooth_x and smooth_y:
         assert sectors == ()
+
+
+def _closed_form_xi(spaces, sectors):
+    """Xi and Xi* laid out dense in Fraction, straight from the formulas
+    Xi_rho = c_rho v_rho, Xi_Y = v_Y + sum a_rho(Y) c_rho v_rho,
+    Xi*_rho = u_rho / c_rho - sum a_rho(Y) u_Y and Xi*_Y = u_Y."""
+    n, dim = spaces.n, spaces.n + spaces.t
+    xi = [[Fraction(0)] * dim for _ in range(dim)]
+    star = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, c in enumerate(spaces.ray_cs):
+        xi[i][i], star[i][i] = Fraction(c), Fraction(1, c)
+    for j, sector in enumerate(sectors):
+        xi[n + j][n + j] = star[n + j][n + j] = Fraction(1)
+        for i, a in sector.coeffs:
+            xi[n + j][i] = a * spaces.ray_cs[i]
+            star[i][n + j] = -a
+    return tuple(map(tuple, xi)), tuple(map(tuple, star))
+
+
+_variant_fans = st.builds(lambda name, seed: beta_variant(fixture_fan(name), random.Random(seed)),
+                          st.sampled_from(FIXTURE_NAMES), st.integers(0, 2 ** 32))
+
+
+@given(st.one_of(_variant_fans,
+                 _rank_four_to_six_fans().map(lambda fan_w: fan_w[0]),
+                 _product_fans().map(lambda factors: product_fan(factors[0][0], factors[1][0]))))
+@example(torsion_heavy_fan())
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+def test_rational_views_equal_the_closed_form(fan):
+    sectors, spaces, xi = _pipeline(fan)
+    expected = _closed_form_xi(spaces, sectors)
+    for view, rows in zip((xi.xi, xi.xi_star), expected):
+        assert len(view) == len(rows)
+        for v, w in zip(view, rows):
+            assert len(v) == len(w)
+            assert all(x == y for x, y in zip(v, w))
+            assert [str(x) for x in v] == [str(y) for y in w]
+
+
+def test_build_xi_builds_no_fraction(monkeypatch):
+    # the rows are integers all through; only the rational views, read
+    # after build_xi returns, make Fractions
+    built = []
+    original = orbcones.Fraction
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orbcones, "Fraction", counting)
+    for fan in all_fixture_fans() + [torsion_heavy_fan()]:
+        sectors = twisted_sectors(fan)
+        spaces = build_spaces(fan, sectors)
+        xi = build_xi(fan, sectors, spaces)
+        assert built == [], fan.name
+    assert xi.xi_star and built
 
 
 def test_one_ps_class_football_negative():
