@@ -119,20 +119,22 @@ def _cone_group(fan: StackyFan, k: int, walked: int = 0
     if chart is None:
         raise ValueError(f"cone {cone} is not simplicial")
     m, adj = chart
-    adj = [[x % m for x in row] for row in adj]
-    rows = tuple(zip(*[fan.rays[i].free for i in cone]))
     room = ENUMERATION_LIMIT // prod(fan.group.torsion_orders) - walked
     group = {(0,) * d}
-    for g in zip(*adj):
-        # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built so
-        # far, until k g lies in H or the group outgrows the room
-        subgroup, step = list(group), g
-        while step not in group and len(group) <= room:
-            group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
-            step = tuple([(x + y) % m for x, y in zip(step, g)])
+    if m > 1:  # else a unimodular cone: the trivial group, its apex alone
+        for g in zip(*[[x % m for x in row] for row in adj]):
+            # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built
+            # so far, until k g lies in H or the group outgrows the room
+            subgroup, step = list(group), g
+            while step not in group and len(group) <= room:
+                group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
+                step = tuple([(x + y) % m for x, y in zip(step, g)])
     if len(group) > room:
         raise EnumerationLimitError(f"fan '{fan.name}' is too large to enumerate: over "
                                     f"{ENUMERATION_LIMIT} box elements, counted cone by cone")
+    if m == 1:  # the apex: point B 0 / 1 = 0 = c
+        return m, [(c, c) for c in group]
+    rows = tuple(zip(*[fan.rays[i].free for i in cone]))
     return m, [(tuple([sum(map(mul, row, c)) // m for row in rows]), c) for c in group]
 
 

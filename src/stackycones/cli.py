@@ -12,9 +12,10 @@ strings (never floats).
 into exit codes and prints, and it prints only once every stage a command
 needs has been built.  Each ``cmd_*`` is a renderer: ``cmd_validate``
 takes the validation report, every other command the ``Analysis`` of a
-valid fan (and ``class-of-1ps`` the parsed ``--b``), and each returns its
-document body, its text lines and its exit code; ``main`` adds the fan's
-name to both.
+valid fan (and ``class-of-1ps`` the parsed ``--b``), then whether JSON was
+asked for, and each returns its exit code and only the form that gets
+printed: the document body or the text lines.  ``_emit`` adds the fan's
+name to it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .boxes import EnumerationLimitError, enumerate_box
 from .fan import NElement, StackyFan, ValidationReport, validate
@@ -65,40 +66,41 @@ def _int_vec_json(v) -> list:
     return [int(x) for x in v]
 
 
-def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
+def _emit(fan: StackyFan, rendered: Union[dict, list[str]], as_json: bool) -> None:
+    document = (json.dumps({"fan": fan.name, **rendered}, indent=2) if as_json
+                else "\n".join([f"fan: {fan.name}", *rendered]))
     try:
-        print(json.dumps(doc, indent=2) if as_json else "\n".join(lines), flush=True)
+        print(document, flush=True)
     except BrokenPipeError:  # the reader left (`| head`): drop the rest and the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-# a renderer's document body, text lines and exit code
-Rendered = tuple[dict, list[str], int]
+# a renderer's JSON body (as_json) or text lines, and its exit code
+Rendered = tuple[Union[dict, list[str]], int]
 
 
-def cmd_validate(report: ValidationReport) -> Rendered:
-    body = {
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
-        "ok": report.ok,
-    }
-    return body, report.lines(), EXIT_OK if report.ok else EXIT_VALIDATION
+def cmd_validate(report: ValidationReport, as_json: bool) -> Rendered:
+    code = EXIT_OK if report.ok else EXIT_VALIDATION
+    if as_json:
+        return {"checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                           for c in report.checks],
+                "ok": report.ok}, code
+    return report.lines(), code
 
 
-def cmd_rays(analysis: Analysis) -> Rendered:
+def cmd_rays(analysis: Analysis, as_json: bool) -> Rendered:
     rd = fan_ray_data(analysis.fan)
     labels = eta_labels(len(rd), 0)
-    body = {
-        "rays": [{"index": r.index, "label": labels[r.index],
-                  "b_rig": _int_vec_json(r.b_rig), "w": _int_vec_json(r.w),
-                  "c": r.c, "torsion": _int_vec_json(r.torsion)}
-                 for r in rd],
-    }
+    if as_json:
+        return {"rays": [{"index": r.index, "label": labels[r.index],
+                          "b_rig": _int_vec_json(r.b_rig), "w": _int_vec_json(r.w),
+                          "c": r.c, "torsion": _int_vec_json(r.torsion)}
+                         for r in rd]}, EXIT_OK
     lines = ["ray  b_rig  w  c  torsion"]
     for r in rd:
         lines.append(f"{labels[r.index]}  {_fmt_vec(r.b_rig)}  {_fmt_vec(r.w)}"
                      f"  {r.c}  {_fmt_vec(r.torsion)}")
-    return body, lines, EXIT_OK
+    return lines, EXIT_OK
 
 
 def _box_entry_json(element, sector_label, labels):
@@ -112,7 +114,7 @@ def _box_entry_json(element, sector_label, labels):
     }
 
 
-def cmd_box(analysis: Analysis) -> Rendered:
+def cmd_box(analysis: Analysis, as_json: bool) -> Rendered:
     fan = analysis.fan
     box = enumerate_box(fan)
     t = sum(not e.is_untwisted for e in box)
@@ -120,51 +122,48 @@ def cmd_box(analysis: Analysis) -> Rendered:
     # twisted elements appear in the canonical sector order
     sector_labels = iter(labels[fan.n_rays:])
     box_labels = [None if e.is_untwisted else next(sector_labels) for e in box]
-    body = {
-        "box": [_box_entry_json(e, label, labels) for e, label in zip(box, box_labels)],
-        "twisted_count": t,
-    }
-    lines = []
+    if as_json:
+        return {"box": [_box_entry_json(e, label, labels)
+                        for e, label in zip(box, box_labels)],
+                "twisted_count": t}, EXIT_OK
     if not t:
-        lines.append("Box = {0}; no twisted sectors")
-    else:
-        for k, (e, label) in enumerate(zip(box, box_labels)):
-            tag = "untwisted" if label is None else f"sector={label}"
-            lines.append(f"box[{k}]: rig={_fmt_vec(e.rig)} torsion={_fmt_vec(e.torsion)}"
-                         f" a={_fmt_coeffs(e.coeffs, labels)} {tag}")
-        lines.append(f"twisted sectors: {t}")
-    return body, lines, EXIT_OK
+        return ["Box = {0}; no twisted sectors"], EXIT_OK
+    lines = []
+    for k, (e, label) in enumerate(zip(box, box_labels)):
+        tag = "untwisted" if label is None else f"sector={label}"
+        lines.append(f"box[{k}]: rig={_fmt_vec(e.rig)} torsion={_fmt_vec(e.torsion)}"
+                     f" a={_fmt_coeffs(e.coeffs, labels)} {tag}")
+    lines.append(f"twisted sectors: {t}")
+    return lines, EXIT_OK
 
 
-def cmd_sectors(analysis: Analysis) -> Rendered:
+def cmd_sectors(analysis: Analysis, as_json: bool) -> Rendered:
     sectors = analysis.sectors
     labels = eta_labels(analysis.fan.n_rays, len(sectors))
     sector_labels = labels[analysis.fan.n_rays:]
-    body = {
-        "sectors": [_box_entry_json(e, label, labels)
-                    for e, label in zip(sectors, sector_labels)],
-    }
-    lines = []
-    if not sectors:
-        lines.append("no twisted sectors")
+    if as_json:
+        return {"sectors": [_box_entry_json(e, label, labels)
+                            for e, label in zip(sectors, sector_labels)]}, EXIT_OK
+    lines = [] if sectors else ["no twisted sectors"]
     for e, label in zip(sectors, sector_labels):
         lines.append(f"{label}: rig={_fmt_vec(e.rig)} torsion={_fmt_vec(e.torsion)}"
                      f" a={_fmt_coeffs(e.coeffs, labels)}")
-    return body, lines, EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_ns(analysis: Analysis) -> Rendered:
+def cmd_ns(analysis: Analysis, as_json: bool) -> Rendered:
     spaces = analysis.spaces
     classes = [ray_divisor_classes(spaces, i) for i in range(spaces.n)]
-    body = {
-        "n": spaces.n, "d": spaces.d, "t": spaces.t,
-        "dim_ns": spaces.dim_ns, "dim_ns_orb": spaces.dim_ns_orb,
-        "curve_basis": [_int_vec_json(k) for k in spaces.curve_basis],
-        "ray_classes": [{"label": spaces.labels[i],
-                         "E": _rat_vec_json(coarse),
-                         "E_stacky": _rat_vec_json(stacky)}
-                        for i, (coarse, stacky) in enumerate(classes)],
-    }
+    if as_json:
+        return {
+            "n": spaces.n, "d": spaces.d, "t": spaces.t,
+            "dim_ns": spaces.dim_ns, "dim_ns_orb": spaces.dim_ns_orb,
+            "curve_basis": [_int_vec_json(k) for k in spaces.curve_basis],
+            "ray_classes": [{"label": spaces.labels[i],
+                             "E": _rat_vec_json(coarse),
+                             "E_stacky": _rat_vec_json(stacky)}
+                            for i, (coarse, stacky) in enumerate(classes)],
+        }, EXIT_OK
     lines = [
         f"n = {spaces.n} rays, d = {spaces.d}, twisted sectors t = {spaces.t}",
         f"dim N^1 = dim N_1 = {spaces.dim_ns}",
@@ -177,73 +176,70 @@ def cmd_ns(analysis: Analysis) -> Rendered:
     for i, (coarse, stacky) in enumerate(classes):
         lines.append(f"  E[{spaces.labels[i]}] = {_fmt_vec(coarse)}"
                      f"   Es[{spaces.labels[i]}] = {_fmt_vec(stacky)}")
-    return body, lines, EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_xi(analysis: Analysis) -> Rendered:
+def cmd_xi(analysis: Analysis, as_json: bool) -> Rendered:
     xi = analysis.xi
-    body = {
-        "labels": list(xi.labels),
-        "xi": [_rat_vec_json(v) for v in xi.xi],
-        "xi_star": [_rat_vec_json(v) for v in xi.xi_star],
-        "dual_basis_ok": True,
-    }
+    if as_json:
+        return {"labels": list(xi.labels),
+                "xi": [_rat_vec_json(v) for v in xi.xi],
+                "xi_star": [_rat_vec_json(v) for v in xi.xi_star],
+                "dual_basis_ok": True}, EXIT_OK
     lines = [f"Xi[{label}] = {_fmt_vec(v)}" for label, v in zip(xi.labels, xi.xi)]
     lines += [f"Xi*[{label}] = {_fmt_vec(v)}" for label, v in zip(xi.labels, xi.xi_star)]
     lines.append("dual basis check: PASS")
-    return body, lines, EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_mov(analysis: Analysis) -> Rendered:
+def cmd_mov(analysis: Analysis, as_json: bool) -> Rendered:
     dim = analysis.spaces.dim_ns_orb
     mov = analysis.peff.dual()
-    body = {
-        "dim": dim,
-        "coordinates": "curve-basis",
-        "generators": [_int_vec_json(g) for g in mov.generators],
-    }
+    if as_json:
+        return {"dim": dim, "coordinates": "curve-basis",
+                "generators": [_int_vec_json(g) for g in mov.generators]}, EXIT_OK
     lines = [f"coordinates: curve basis (dim {dim})",
              "Mov_1,orb generators (extremal):"]
     lines += [f"  {_fmt_vec(g)}" for g in mov.generators]
-    return body, lines, EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_peff(analysis: Analysis) -> Rendered:
+def cmd_peff(analysis: Analysis, as_json: bool) -> Rendered:
     spaces, functionals = analysis.spaces, analysis.functionals
     extremal = analysis.peff.canonical_generators()
-    body = {
-        "dim": spaces.dim_ns_orb,
-        "coordinates": "curve-basis-dual",
-        "classes": [{"label": spaces.labels[i], "vector": _rat_vec_json(v)}
-                    for i, v in enumerate(functionals)],
-        "extremal_rays": [_int_vec_json(g) for g in extremal],
-    }
+    if as_json:
+        return {"dim": spaces.dim_ns_orb, "coordinates": "curve-basis-dual",
+                "classes": [{"label": spaces.labels[i], "vector": _rat_vec_json(v)}
+                            for i, v in enumerate(functionals)],
+                "extremal_rays": [_int_vec_json(g) for g in extremal]}, EXIT_OK
     lines = [f"coordinates: dual curve basis (dim {spaces.dim_ns_orb})",
              "generator classes:"]
     for i, v in enumerate(functionals):
         lines.append(f"  peff[{spaces.labels[i]}] = {_fmt_vec(v)}")
     lines.append("PEff_orb extremal rays:")
     lines += [f"  {_fmt_vec(g)}" for g in extremal]
-    return body, lines, EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_verify(analysis: Analysis) -> Rendered:
+def cmd_verify(analysis: Analysis, as_json: bool) -> Rendered:
     # called by its module-level name, so a wrapper of verify_duality sees it
     report = verify_duality(analysis.fan)
-    body = {
-        "equal": report.equal,
-        "mov_generators": [_int_vec_json(g) for g in report.mov_generators],
-        "peff_dual_extremal_rays": [_int_vec_json(g)
-                                    for g in report.dual_of_mov_generators],
-        "corollary_classes": [{"label": report.labels[i],
-                               "vector": _rat_vec_json(v)}
-                              for i, v in enumerate(report.corollary_classes)],
-        "corollary_extremal_rays": [_int_vec_json(g)
-                                    for g in report.corollary_generators],
-        "separating": None if report.separating is None else
-            {"side": report.separating[0],
-             "vector": _int_vec_json(report.separating[1])},
-    }
+    code = EXIT_OK if report.equal else EXIT_MISMATCH
+    if as_json:
+        return {
+            "equal": report.equal,
+            "mov_generators": [_int_vec_json(g) for g in report.mov_generators],
+            "peff_dual_extremal_rays": [_int_vec_json(g)
+                                        for g in report.dual_of_mov_generators],
+            "corollary_classes": [{"label": report.labels[i],
+                                   "vector": _rat_vec_json(v)}
+                                  for i, v in enumerate(report.corollary_classes)],
+            "corollary_extremal_rays": [_int_vec_json(g)
+                                        for g in report.corollary_generators],
+            "separating": None if report.separating is None else
+                {"side": report.separating[0],
+                 "vector": _int_vec_json(report.separating[1])},
+        }, code
     lines = ["Mov_1,orb generators: " + (", ".join(_fmt_vec(g) for g in report.mov_generators) or "(zero cone)"),
              "dual(Mov) extremal rays: " + (", ".join(_fmt_vec(g) for g in report.dual_of_mov_generators) or "(zero cone)"),
              "corollary cone extremal rays: " + (", ".join(_fmt_vec(g) for g in report.corollary_generators) or "(zero cone)")]
@@ -254,7 +250,7 @@ def cmd_verify(analysis: Analysis) -> Rendered:
     else:
         side, vector = report.separating
         lines.append(f"theorem verification: FAIL (separating vector {_fmt_vec(vector)} on side {side})")
-    return body, lines, EXIT_OK if report.equal else EXIT_MISMATCH
+    return lines, code
 
 
 def _parse_ints(text: str, part: str) -> tuple[int, ...]:
@@ -281,35 +277,35 @@ def _parse_b(text: str, fan: StackyFan) -> NElement:
     return NElement(free, fan.group.reduce_torsion(torsion))
 
 
-def cmd_class_of_1ps(analysis: Analysis, b: NElement) -> Rendered:
+def cmd_class_of_1ps(analysis: Analysis, b: NElement, as_json: bool) -> Rendered:
     spaces = analysis.spaces
     cls = one_ps_class(analysis.fan, analysis.sectors, spaces, b)
     sec_idx = cls.sector_index
+    label = None if sec_idx is None else spaces.labels[spaces.n + sec_idx]
+    if as_json:
+        return {
+            "b": {"free": _int_vec_json(b.free), "torsion": _int_vec_json(b.torsion)},
+            "class_vector": _rat_vec_json(cls.class_vector),
+            "sector": None if sec_idx is None else {
+                "label": label,
+                "rig": _int_vec_json(cls.sector.rig),
+                "torsion": _int_vec_json(cls.sector.torsion)},
+            "untwisted": sec_idx is None,
+            "decomposition": {"sector_label": label,
+                              "ray_multiplicities": list(cls.ray_multiplicities)},
+        }, EXIT_OK
     class_terms = []
     for i, x in enumerate(cls.class_vector):
         if x != 0:
-            label = spaces.labels[i]
-            class_terms.append(f"v[{label}]" if x == 1 else f"{x}*v[{label}]")
-    body = {
-        "b": {"free": _int_vec_json(b.free), "torsion": _int_vec_json(b.torsion)},
-        "class_vector": _rat_vec_json(cls.class_vector),
-        "sector": None if sec_idx is None else {
-            "label": spaces.labels[spaces.n + sec_idx],
-            "rig": _int_vec_json(cls.sector.rig),
-            "torsion": _int_vec_json(cls.sector.torsion)},
-        "untwisted": sec_idx is None,
-        "decomposition": {
-            "sector_label": None if sec_idx is None else spaces.labels[spaces.n + sec_idx],
-            "ray_multiplicities": list(cls.ray_multiplicities)},
-    }
+            term = spaces.labels[i]
+            class_terms.append(f"v[{term}]" if x == 1 else f"{x}*v[{term}]")
     sector_line = "sector = untwisted" if sec_idx is None else (
-        f"sector = {spaces.labels[spaces.n + sec_idx]} "
+        f"sector = {label} "
         f"(rig={_fmt_vec(cls.sector.rig)}, torsion={_fmt_vec(cls.sector.torsion)})")
-    lines = [f"b = {_fmt_vec(b.free)};{_fmt_vec(b.torsion)}",
-             "class = " + (" + ".join(class_terms) if class_terms else "0"),
-             sector_line,
-             "decomposition = " + cls.decomposition_label(spaces.labels)]
-    return body, lines, EXIT_OK
+    return [f"b = {_fmt_vec(b.free)};{_fmt_vec(b.torsion)}",
+            "class = " + (" + ".join(class_terms) if class_terms else "0"),
+            sector_line,
+            "decomposition = " + cls.decomposition_label(spaces.labels)], EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fan = load_fan(args.file)
         report = validate(fan)
         if args.func is cmd_validate:
-            body, lines, code = cmd_validate(report)
+            rendered, code = cmd_validate(report, args.json)
         elif not report.ok:
             failed = [c.name for c in report.checks if not c.passed]
             print(f"error: fan '{fan.name}' fails validation: {', '.join(failed)}",
@@ -363,14 +359,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             # --b is parsed against the valid fan and before any stage is built
             b = () if args.b is None else (_parse_b(args.b, fan),)
-            body, lines, code = args.func(Analysis(fan), *b)
+            rendered, code = args.func(Analysis(fan), *b, args.json)
     except (FanFileError, _UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except EnumerationLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    _emit({"fan": fan.name, **body}, args.json, [f"fan: {fan.name}", *lines])
+    _emit(fan, rendered, args.json)
     return code
 
 

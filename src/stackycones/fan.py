@@ -184,8 +184,11 @@ def validate(fan: StackyFan) -> ValidationReport:
     cover every generic point k >= 1 times.  One generic point gives k; k = 1
     also proves (c).  Otherwise a pair that a facet hyperplane separates
     meets in a face (Cox, Little and Schenck, "Toric Varieties", Lemma
-    1.2.13); any other pair is intersected by one double description run,
-    and the intersection must lie in the span of the pair's common rays.
+    1.2.13).  Each facet normal's far side, the used rays it puts on or
+    beyond its hyperplane, is one set built once per call, so a pair's test
+    is a set inclusion (_non_face_pairs).  Any other pair is intersected by
+    one double description run, on each cone's Cone built at its first such
+    pair, and the intersection must lie in the span of the common rays.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -212,20 +215,7 @@ def validate(fan: StackyFan) -> ValidationReport:
 
     if simplicial:
         complete, covers = _completeness_check(fan, normals)
-        bad_pairs = []
-        if covers != 1:
-            cones = [_cone_of(fan, c) for c in fan.max_cones]
-            for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
-                ca, cb = fan.max_cones[a], fan.max_cones[b]
-                if _facet_separates(fan, normals[a], ca, cb) or \
-                        _facet_separates(fan, normals[b], cb, ca):
-                    continue
-                # the cone on the common rays lies in both, so they meet in it iff
-                # their intersection does: in the simplicial ca, iff in their span
-                common = [fan.rays[i].free for i in set(ca) & set(cb)]
-                if any(linalg.rank(common + [g]) > len(common)
-                       for g in intersect(cones[a], cones[b]).generators):
-                    bad_pairs.append((ca, cb))
+        bad_pairs = [] if covers == 1 else _non_face_pairs(fan)
         checks.append(CheckResult(
             "pairwise_intersections", not bad_pairs,
             "" if not bad_pairs else f"non-face intersections: {bad_pairs}"))
@@ -243,14 +233,31 @@ def validate(fan: StackyFan) -> ValidationReport:
     return ValidationReport(fan.name, tuple(checks))
 
 
-def _facet_separates(fan: StackyFan, normals: Optional[list], sigma: tuple, tau: tuple) -> bool:
-    """Whether some inner facet normal h of the maximal cone sigma has h.v <= 0
-    on every ray v of tau, = 0 only on rays of sigma.  Then sigma and tau
-    meet in h's hyperplane, where tau is the cone on their common rays."""
-    rays = [(i in sigma, fan.rays[i].free) for i in tau]
-    return normals is not None and any(
-        all((p := sum(map(mul, h, v))) < 0 or p == 0 and common for common, v in rays)
-        for h in normals)
+def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
+    """The pairs of maximal cones, in combinations order, that do not meet in
+    a common face.  far[k] has one far side per facet normal h of cone k:
+    the used rays j with h.v_j < 0, or = 0 and j in cone k.  If another
+    cone's rays all lie there, the two meet in h's hyperplane, in a face."""
+    rays = [frozenset(cone) for cone in fan.max_cones]
+    used = [(j, fan.rays[j].free) for j in set().union(*rays)]
+    far = [() if chart is None else [
+        frozenset([j for j, v in used if (p := sum(map(mul, h, v))) < 0 or p == 0 and j in cone])
+        for h in chart[1]] for cone, chart in zip(rays, fan.charts)]
+    cones: dict[int, Cone] = {}
+    bad_pairs = []
+    for a, b in itertools.combinations(range(len(rays)), 2):
+        if any(rays[b] <= s for s in far[a]) or any(rays[a] <= s for s in far[b]):
+            continue
+        for k in (a, b):
+            if k not in cones:
+                cones[k] = _cone_of(fan, fan.max_cones[k])
+        # the cone on the common rays lies in both, so they meet in it iff
+        # their intersection does: in the simplicial cone a, iff in their span
+        common = [fan.rays[i].free for i in rays[a] & rays[b]]
+        if any(linalg.rank(common + [g]) > len(common)
+               for g in intersect(cones[a], cones[b]).generators):
+            bad_pairs.append((fan.max_cones[a], fan.max_cones[b]))
+    return bad_pairs
 
 
 def _completeness_check(fan: StackyFan, normals: list) -> tuple[CheckResult, int]:

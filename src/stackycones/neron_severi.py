@@ -67,7 +67,7 @@ class AmbientSpaces:
 
 # build_spaces refuses fans with more ray and sector coordinates n + t: the
 # curve basis and the views of Xi hold O((n + t)^2) dense entries; at
-# n + t = 481 `stackycones xi` takes about 0.3 s and 169 MB (1.4 MB of text)
+# n + t = 481 `stackycones xi` takes about 0.1 s and 24 MB (1.4 MB of text)
 CLASS_SPACE_LIMIT = 500
 
 

@@ -8,6 +8,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,43 @@ def battery_validate(fan: StackyFan) -> ValidationReport:
         "" if b_rank == d else f"rank of ray matrix is {b_rank}, expected {d}"))
 
     return ValidationReport(fan.name, tuple(checks))
+
+
+def facet_separates(fan: StackyFan, normals, sigma: tuple, tau: tuple) -> bool:
+    """The per-pair facet test that fan.validate's far-side sets replaced,
+    kept as an oracle: whether some inner facet normal h of the maximal cone
+    sigma (a row of its chart, or None without one) has h.v <= 0 on every
+    ray v of tau, = 0 only on rays of sigma.  Then sigma and tau meet in
+    h's hyperplane, where tau is the cone on their common rays."""
+    rays = [(i in sigma, fan.rays[i].free) for i in tau]
+    return normals is not None and any(
+        all((p := sum(map(mul, h, v))) < 0 or p == 0 and common for common, v in rays)
+        for h in normals)
+
+
+def unseparated_pairs(fan: StackyFan) -> list[tuple[int, int]]:
+    """The positions (a, b), a < b, of the pairs of maximal cones that no
+    facet hyperplane of either separates (facet_separates both ways)."""
+    normals = [None if chart is None else chart[1] for chart in fan.charts]
+    return [(a, b) for a, b in itertools.combinations(range(len(fan.max_cones)), 2)
+            if not facet_separates(fan, normals[a], fan.max_cones[a], fan.max_cones[b])
+            and not facet_separates(fan, normals[b], fan.max_cones[b], fan.max_cones[a])]
+
+
+def pairwise_oracle(fan: StackyFan) -> CheckResult:
+    """fan.validate's pairwise_intersections check on a simplicial fan, the
+    way it ran before far-side sets: every unseparated pair intersected by
+    one double description run, on a Cone per cone built up front, and its
+    intersection tested against the face Cone on the common rays."""
+    cones = [_cone_of(fan, c) for c in fan.max_cones]
+    bad_pairs = []
+    for a, b in unseparated_pairs(fan):
+        ca, cb = fan.max_cones[a], fan.max_cones[b]
+        face = _cone_of(fan, sorted(set(ca) & set(cb)))
+        if not all(face.contains(g) for g in intersect(cones[a], cones[b]).generators):
+            bad_pairs.append((ca, cb))
+    return CheckResult("pairwise_intersections", not bad_pairs,
+                       "" if not bad_pairs else f"non-face intersections: {bad_pairs}")
 
 
 def _battery_completeness_check(fan: StackyFan) -> CheckResult:

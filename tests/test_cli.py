@@ -13,7 +13,7 @@ from conftest import (FIXTURE_NAMES, REPO_ROOT, _count_calls, fixture_fan,
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from stackycones import boxes, linalg, neron_severi, orbcones
+from stackycones import boxes, cli, linalg, neron_severi, orbcones
 from stackycones.cli import main
 
 FOOTBALL = str(fixture_path("football"))
@@ -233,6 +233,30 @@ def test_each_command_builds_only_the_views_it_reads(monkeypatch, command):
             code, _ = run_cli(command, str(fixture_path(fixture)), *extra, *json_flag)
             assert code == 0, (command, fixture)
             assert sorted(built) == VIEWS_BUILT.get(command, []), (command, fixture)
+
+
+TEXT_HELPERS, JSON_HELPERS = ("_fmt_vec", "_fmt_coeffs"), (
+    "_int_vec_json", "_rat_vec_json", "fraction_json")
+
+
+def test_each_command_renders_only_the_printed_form(monkeypatch):
+    # text output builds no JSON body and --json builds no text lines
+    called = []
+    for name in TEXT_HELPERS + JSON_HELPERS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, real=getattr(cli, name):
+                            called.append(name) or real(*args))
+    used = set()
+    for command in COMMANDS:
+        for fixture in FIXTURE_NAMES:
+            extra = ["--b=" + ",".join(["1"] * fixture_fan(fixture).dim)] \
+                if command == "class-of-1ps" else []
+            for json_flag, other in (([], JSON_HELPERS), (["--json"], TEXT_HELPERS)):
+                called.clear()
+                code, _ = run_cli(command, str(fixture_path(fixture)), *extra, *json_flag)
+                assert code == 0, (command, fixture)
+                assert not set(called) & set(other), (command, fixture, json_flag)
+                used |= set(called)
+    assert used == set(TEXT_HELPERS + JSON_HELPERS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -8,12 +8,16 @@ from conftest import (
     all_fixture_fans,
     battery_validate,
     counted_dd_runs,
+    facet_separates,
     fixture_fan,
+    pairwise_oracle,
     polygon_rays,
+    unseparated_pairs,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from stackycones import fan as fan_module
 from stackycones.cones import intersect
 from stackycones.fan import (
     AbelianGroupSpec,
@@ -21,7 +25,6 @@ from stackycones.fan import (
     NElement,
     StackyFan,
     _cone_of,
-    _facet_separates,
     ray_data,
     validate,
 )
@@ -354,8 +357,8 @@ def test_facet_shortcut_agrees_with_double_description():
         sigma, tau = fan.max_cones
         inverses = fan.charts
         assume(None not in inverses)
-        separated = (_facet_separates(fan, inverses[0][1], sigma, tau)
-                     or _facet_separates(fan, inverses[1][1], tau, sigma))
+        separated = (facet_separates(fan, inverses[0][1], sigma, tau)
+                     or facet_separates(fan, inverses[1][1], tau, sigma))
         face = _cone_of(fan, sorted(set(sigma) & set(tau)))
         meet = intersect(_cone_of(fan, sigma), _cone_of(fan, tau))
         is_face = all(face.contains(g) for g in meet.generators)
@@ -368,6 +371,77 @@ def test_facet_shortcut_agrees_with_double_description():
     check()
     # every outcome occurs, so no branch passes vacuously
     assert set(outcomes) == {(True, True), (False, True), (False, False)}, outcomes
+
+
+CHANGES = ("none", "lower", "unused", "alias")
+
+
+@st.composite
+def _varied_fans(draw):
+    """(change, fan): a _mutated_fan changed in one way: not at all, one cone
+    cut down to a lower-dimensional face, one or two rays that no cone
+    uses, or one cone's ray listed again under a new index that the cone
+    uses in its place."""
+    fan = _mutated_fan(random.Random(draw(st.integers(0, 2 ** 32))),
+                       draw(st.sampled_from(["polygon", "prism"])),
+                       draw(st.integers(3, 6)), draw(st.sampled_from(MUTATIONS)))
+    rays, cones = [ray.free for ray in fan.rays], list(fan.max_cones)
+    change = draw(st.sampled_from(CHANGES))
+    k = draw(st.integers(0, len(cones) - 1))
+    if change == "lower":
+        drop = draw(st.sampled_from(cones[k]))
+        cones[k] = tuple(i for i in cones[k] if i != drop)
+    elif change == "unused":
+        vector = st.tuples(*[st.integers(-3, 3)] * fan.dim).filter(any)
+        rays += draw(st.lists(vector, min_size=1, max_size=2))
+    elif change == "alias":
+        i = draw(st.sampled_from(cones[k]))
+        rays.append(rays[i])
+        cones[k] = tuple(len(rays) - 1 if j == i else j for j in cones[k])
+    return change, _fan(fan.dim, rays, cones)
+
+
+def test_far_side_sets_agree_with_the_pair_oracle():
+    # validate's pairwise check, verdict and detail, equals the per-pair
+    # facet test plus a DD face test on every unseparated pair
+    outcomes = Counter()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(varied=_varied_fans())
+    def check(varied):
+        change, fan = varied
+        checks = {c.name: c for c in validate(fan).checks}
+        assume(checks["simplicial"].passed)
+        assert checks["pairwise_intersections"] == pairwise_oracle(fan), fan
+        outcomes[change, checks["pairwise_intersections"].passed] += 1
+
+    check()
+    # each change meets both verdicts, so none passes vacuously
+    assert set(outcomes) == {(c, v) for c in CHANGES for v in (True, False)}, outcomes
+
+
+def test_validate_builds_a_cone_only_for_unseparated_pairs(monkeypatch):
+    # a Cone per maximal cone that some unseparated pair uses, built once,
+    # and none when the ridge certificate holds or every pair is separated
+    built = []
+    real_cone = fan_module.Cone
+    monkeypatch.setattr(fan_module, "Cone", lambda d, generators: built.append(
+        tuple(generators)) or real_cone(d, generators))
+    fans = all_fixture_fans() + [
+        StackyFan(fan.group, fan.rays, fan.max_cones[1:], name=fan.name + "-drop")
+        for fan in all_fixture_fans()] + [
+        _mutated_fan(random.Random(1), "polygon", 12, "drop"),
+        _mutated_fan(random.Random(1), "prism", 6, "widen")]
+    counts = []
+    for fan in fans:
+        built.clear()
+        report = validate(fan)
+        used = [] if report.ok else sorted({k for pair in unseparated_pairs(fan) for k in pair})
+        assert Counter(built) == Counter(
+            tuple(fan.rays[i].free for i in fan.max_cones[k]) for k in used), fan.name
+        assert len(built) <= len(fan.max_cones)
+        counts.append((report.ok, bool(built)))
+    assert set(counts) == {(True, False), (False, False), (False, True)}, counts
 
 
 @pytest.mark.parametrize("kind, m, mutation, runs", [

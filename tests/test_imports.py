@@ -2,8 +2,9 @@
 imports, so a deletion cannot leave a dead import behind.  The package's
 ``__init__.py`` exists to re-export, and an import marked ``# noqa: F401``
 is kept on purpose.  Every module-level private function or class is
-referenced somewhere in the package outside its own body, so a deletion
-cannot leave a dead helper behind either."""
+referenced somewhere in the package (of a test module: somewhere in the
+tests) outside its own body, so a deletion cannot leave a dead helper
+behind either."""
 
 import ast
 from pathlib import Path
@@ -13,8 +14,8 @@ import pytest
 import stackycones
 
 SOURCES = sorted(Path(stackycones.__file__).parent.glob("*.py"))
-MODULES = ([p for p in SOURCES if p.name != "__init__.py"]
-           + sorted(Path(__file__).parent.glob("*.py")))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"] + TESTS
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -82,6 +83,11 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[tuple[str, str]]:
 
 def test_every_private_def_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_every_private_test_helper_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in TESTS}
     assert unreferenced_private_defs(sources) == []
 
 
