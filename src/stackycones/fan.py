@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
-from .cones import Cone, intersect
+from .cones import Cone
 from .linalg import IntVec, primitive
 
 
@@ -187,8 +187,9 @@ def validate(fan: StackyFan) -> ValidationReport:
     1.2.13).  Each facet normal's far side, the used rays it puts on or
     beyond its hyperplane, is one set built once per call, so a pair's test
     is a set inclusion (_non_face_pairs).  Any other pair is intersected by
-    one double description run, on each cone's Cone built at its first such
-    pair, and the intersection must lie in the span of the common rays.
+    one double description run on the two cones' chart rows, and the
+    intersection must lie in the span of the common rays: a charted cone's
+    coordinates at its rays that the other lacks must vanish on it.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -237,25 +238,34 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
     """The pairs of maximal cones, in combinations order, that do not meet in
     a common face.  far[k] has one far side per facet normal h of cone k:
     the used rays j with h.v_j < 0, or = 0 and j in cone k.  If another
-    cone's rays all lie there, the two meet in h's hyperplane, in a face."""
+    cone's rays all lie there, the two meet in h's hyperplane, in a face.
+    A cone's inequalities are its chart rows (x in it iff m B^-1 x >= 0), or
+    with no chart its Cone's, built at its first unseparated pair."""
     rays = [frozenset(cone) for cone in fan.max_cones]
     used = [(j, fan.rays[j].free) for j in set().union(*rays)]
     far = [() if chart is None else [
         frozenset([j for j, v in used if (p := sum(map(mul, h, v))) < 0 or p == 0 and j in cone])
         for h in chart[1]] for cone, chart in zip(rays, fan.charts)]
-    cones: dict[int, Cone] = {}
+    ineqs = {k: chart[1] for k, chart in enumerate(fan.charts) if chart}
     bad_pairs = []
     for a, b in itertools.combinations(range(len(rays)), 2):
         if any(rays[b] <= s for s in far[a]) or any(rays[a] <= s for s in far[b]):
             continue
         for k in (a, b):
-            if k not in cones:
-                cones[k] = _cone_of(fan, fan.max_cones[k])
-        # the cone on the common rays lies in both, so they meet in it iff
-        # their intersection does: in the simplicial cone a, iff in their span
-        common = [fan.rays[i].free for i in rays[a] & rays[b]]
-        if any(linalg.rank(common + [g]) > len(common)
-               for g in intersect(cones[a], cones[b]).generators):
+            if k not in ineqs:
+                ineqs[k] = _cone_of(fan, fan.max_cones[k]).inequalities
+        meet = Cone(fan.dim, [*ineqs[a], *ineqs[b]]).dual().generators
+        # the cone on the common rays lies in both, so they meet in it iff their
+        # intersection lies in their span: a charted cone's coordinates vanish
+        # on it at its rays that the other lacks (else a rank test)
+        k, other = (b, a) if fan.charts[b] else (a, b)
+        if fan.charts[k]:
+            off = [h for i, h in zip(fan.max_cones[k], fan.charts[k][1]) if i not in rays[other]]
+            outside = any(sum(map(mul, h, g)) for g in meet for h in off)
+        else:
+            common = [fan.rays[i].free for i in rays[a] & rays[b]]
+            outside = any(linalg.rank(common + [g]) > len(common) for g in meet)
+        if outside:
             bad_pairs.append((fan.max_cones[a], fan.max_cones[b]))
     return bad_pairs
 

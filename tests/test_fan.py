@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from operator import mul
@@ -14,7 +15,7 @@ from conftest import (
     polygon_rays,
     unseparated_pairs,
 )
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stackycones import fan as fan_module
@@ -420,42 +421,127 @@ def test_far_side_sets_agree_with_the_pair_oracle():
     assert set(outcomes) == {(c, v) for c in CHANGES for v in (True, False)}, outcomes
 
 
+def _orthants(k):
+    """The rays and cones of P^1^k: e_i at index 2i, -e_i at 2i + 1, and
+    the 2^k orthants."""
+    rays = [tuple(s if j == i else 0 for j in range(k)) for i in range(k) for s in (1, -1)]
+    return rays, [tuple(2 * i + s for i, s in enumerate(signs))
+                  for signs in itertools.product((0, 1), repeat=k)]
+
+
 def test_validate_builds_a_cone_only_for_unseparated_pairs(monkeypatch):
-    # a Cone per maximal cone that some unseparated pair uses, built once,
-    # and none when the ridge certificate holds or every pair is separated
-    built = []
-    real_cone = fan_module.Cone
-    monkeypatch.setattr(fan_module, "Cone", lambda d, generators: built.append(
-        tuple(generators)) or real_cone(d, generators))
+    # one intersection Cone per unseparated pair, on the two cones'
+    # inequalities (chart rows for a cone with a chart), plus one Cone per
+    # chart-less cone in such a pair, built once; none on a charted cone's
+    # rays, and none when the ridge certificate holds or every pair is separated
+    rays, orthants = _orthants(3)
     fans = all_fixture_fans() + [
         StackyFan(fan.group, fan.rays, fan.max_cones[1:], name=fan.name + "-drop")
         for fan in all_fixture_fans()] + [
         _mutated_fan(random.Random(1), "polygon", 12, "drop"),
-        _mutated_fan(random.Random(1), "prism", 6, "widen")]
-    counts = []
+        _mutated_fan(random.Random(1), "prism", 6, "widen"),
+        _fan(3, rays, [orthants[0][:2]] + orthants[1:]),
+        _fan(3, rays, [orthants[0][:2]] + orthants[1:-1] + [orthants[-1][:1]])]
+
+    def key(vectors):
+        return tuple(map(tuple, vectors))
+
+    def inequalities(fan, k):
+        chart = fan.charts[k]
+        return chart[1] if chart else _cone_of(fan, fan.max_cones[k]).inequalities
+
+    expected = []
     for fan in fans:
+        pairs = [] if validate(fan).ok else unseparated_pairs(fan)
+        chartless = {k for pair in pairs for k in pair if fan.charts[k] is None}
+        expected.append(Counter(
+            [key(fan.rays[i].free for i in fan.max_cones[k]) for k in chartless]
+            + [key([*inequalities(fan, a), *inequalities(fan, b)]) for a, b in pairs]))
+    built = []
+    real_cone = fan_module.Cone
+    monkeypatch.setattr(fan_module, "Cone", lambda d, generators: built.append(
+        key(generators)) or real_cone(d, generators))
+    counts = []
+    for fan, cones in zip(fans, expected):
         built.clear()
         report = validate(fan)
-        used = [] if report.ok else sorted({k for pair in unseparated_pairs(fan) for k in pair})
-        assert Counter(built) == Counter(
-            tuple(fan.rays[i].free for i in fan.max_cones[k]) for k in used), fan.name
-        assert len(built) <= len(fan.max_cones)
-        counts.append((report.ok, bool(built)))
-    assert set(counts) == {(True, False), (False, False), (False, True)}, counts
+        assert Counter(built) == cones, fan.name
+        chartless = any(fan.charts[k] is None for k in range(len(fan.max_cones)))
+        counts.append((report.ok, bool(built), chartless))
+    assert set(counts) == {(True, False, False), (False, False, False),
+                           (False, True, False), (False, True, True)}, counts
 
 
 @pytest.mark.parametrize("kind, m, mutation, runs", [
-    ("polygon", 12, "drop", 3),
-    ("prism", 6, "widen", 44),
-])
+    ("polygon", 12, "drop", 1),
+    ("prism", 6, "widen", 32),
+], ids=["polygon-12-drop", "prism-6-widen"])
 def test_facet_normals_spare_pairwise_dd_runs(dd_runs, kind, m, mutation, runs):
     # a 12-cone polygon with a dropped cone and a 6-prism with two
-    # overlapping cones; battery_validate runs the DD test on every pair
+    # overlapping cones: one DD run per unseparated pair and none per cone;
+    # battery_validate runs the DD test on every pair
     fan = _mutated_fan(random.Random(1), kind, m, mutation)
     assert not validate(fan).ok
-    assert len(dd_runs) == runs
+    assert len(dd_runs) == runs == len(unseparated_pairs(fan))
     battery_validate(fan)
     assert runs < len(dd_runs) - runs
+
+
+ORTHANT_CHANGES = ("drop", "twice", "lower", "two-lower")
+
+
+@st.composite
+def _orthant_fans(draw, change):
+    """P^1^k for k = 4..6 with one cone dropped, one cone
+    listed twice, one cone cut to a face of lower dimension (a cone with no
+    chart), or two cones cut so that a pair has no chart.  If drawn, one
+    orthant s is skewed first: its ray v_p is swapped for a new ray
+    w = v_p - v_q, so it overlaps the orthant n across its facet opposite
+    v_q in more than a face; two cut cones are then s and n, cut to faces
+    that keep w and v_p, -v_q, which overlap in the same way."""
+    k = draw(st.integers(4, 6))
+    rays, cones = _orthants(k)
+    picks = draw(st.lists(st.integers(0, len(cones) - 1), min_size=2, max_size=2, unique=True))
+    keep = [(), ()]
+    if draw(st.booleans()):
+        s = draw(st.integers(0, len(cones) - 1))
+        p, q = draw(st.permutations(cones[s]))[:2]
+        rays.append(tuple(x - y for x, y in zip(rays[p], rays[q])))
+        n = cones.index(tuple(j ^ 1 if j == q else j for j in cones[s]))
+        cones[s] = tuple(len(rays) - 1 if j == p else j for j in cones[s])
+        if change == "two-lower":
+            picks, keep = [s, n], [(len(rays) - 1,), (p, q ^ 1)]
+    if change == "drop":
+        cones.pop(picks[0])
+    elif change == "twice":
+        cones.append(cones[picks[0]])
+    else:
+        for c, kept in list(zip(picks, keep))[:1 if change == "lower" else 2]:
+            rest = draw(st.permutations([j for j in cones[c] if j not in kept]))
+            cones[c] = kept + tuple(rest[:draw(st.integers(not kept, k - 1 - len(kept)))])
+    return _fan(k, rays, cones)
+
+
+@pytest.mark.parametrize("change", ORTHANT_CHANGES)
+def test_pairwise_check_agrees_with_the_oracle_in_rank_4_to_6(change):
+    # the chart-row intersections and the chart-coordinate face test give
+    # the oracle's pairwise check, verdict and detail, on products of P^1
+    verdicts = Counter()
+
+    # no shrink phase: a P^1^6 example takes about 0.4 s, and shrinking a
+    # failure ran for minutes
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None,
+              phases=[Phase.explicit, Phase.generate])
+    @given(fan=_orthant_fans(change))
+    def check(fan):
+        checks = {c.name: c for c in validate(fan).checks}
+        assert checks["simplicial"].passed and not checks["complete"].passed
+        assert checks["pairwise_intersections"] == pairwise_oracle(fan), fan
+        verdicts[checks["pairwise_intersections"].passed] += 1
+
+    check()
+    # both verdicts occur, so neither passes vacuously
+    assert set(verdicts) == {True, False}, verdicts
 
 
 @pytest.mark.parametrize("cones", [
