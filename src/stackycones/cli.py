@@ -58,8 +58,12 @@ def _fmt_coeffs(coeffs, labels) -> str:
     return "{" + inner + "}"
 
 
+# one shared object for every zero entry: rows of Xi and Xi* are mostly zeros
+_ZERO_JSON = {"num": "0", "den": "1"}
+
+
 def _rat_vec_json(v) -> list:
-    return [fraction_json(x) for x in v]
+    return [fraction_json(x) if x else _ZERO_JSON for x in v]
 
 
 def _int_vec_json(v) -> list:

@@ -10,6 +10,10 @@ vector, and the canonical forms at the end come from the fraction-free
 echelon form of the lineality basis the loop ends with (``linalg._echelon``,
 the package's one Gauss-Jordan elimination), so no ``Fraction`` is built.  Outputs are canonical (primitive generators, lexicographically
 sorted), so they are stable across runs and usable in golden files.
+
+Every run goes through ``_dual_generators``, from :meth:`Cone.dual` or on
+rows a caller has made primitive (``fan.validate``'s pair intersections,
+which build no ``Cone``); its output is not normalized again.
 """
 
 from __future__ import annotations
@@ -174,6 +178,14 @@ def _flatten(lineality: Sequence[IntVec], rays: Sequence[IntVec]) -> tuple[IntVe
     return tuple(sorted(gens))
 
 
+def _dual_generators(dim: int, constraints: Sequence[IntVec]) -> tuple[IntVec, ...]:
+    """Canonical generators of {x : <a, x> >= 0 for all a in constraints}:
+    +/- the canonical lineality basis and the reduced extreme rays, sorted,
+    primitive and distinct.  The constraints must be primitive integer
+    tuples (repeats are dropped); they are not normalized here."""
+    return _flatten(*_halfspace_description(dim, constraints))
+
+
 class Cone:
     """A finitely generated convex cone = {sum c_i g_i : c_i >= 0}.
 
@@ -181,8 +193,9 @@ class Cone:
     redundant (non-extremal) generators are tolerated on input and removed
     whenever a canonical description is produced.  The zero cone
     (no generators) and the full space are valid values.  Instances are
-    immutable; the dual cone is computed at most once and cached, and every
-    double description run in the package goes through :meth:`dual`.
+    immutable; the dual cone is computed at most once and cached.  Its
+    generators are the double description run's canonical output, taken as
+    they are (no second normalization).
     """
 
     __slots__ = ("ambient_dim", "generators", "_dual")
@@ -200,12 +213,21 @@ class Cone:
     def __repr__(self) -> str:
         return f"Cone(dim={self.ambient_dim}, generators={list(self.generators)})"
 
+    @classmethod
+    def _of_canonical(cls, ambient_dim: int, generators: tuple[IntVec, ...]) -> "Cone":
+        # generators already primitive and distinct (_dual_generators' output)
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "ambient_dim", ambient_dim)
+        object.__setattr__(cone, "generators", generators)
+        object.__setattr__(cone, "_dual", None)
+        return cone
+
     def dual(self) -> "Cone":
         """The dual cone {u : <u, v> >= 0 for all v in this cone}, with its
         canonical generators (cached: the same object on every call)."""
         if self._dual is None:
-            lin, rays = _halfspace_description(self.ambient_dim, self.generators)
-            object.__setattr__(self, "_dual", Cone(self.ambient_dim, _flatten(lin, rays)))
+            object.__setattr__(self, "_dual", Cone._of_canonical(
+                self.ambient_dim, _dual_generators(self.ambient_dim, self.generators)))
         return self._dual
 
     @property

@@ -16,8 +16,8 @@ from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
-from .cones import Cone
-from .linalg import IntVec, primitive
+from .cones import Cone, _dual_generators
+from .linalg import IntVec, primitive, primitive_direction
 
 
 class FanStructureError(ValueError):
@@ -187,9 +187,10 @@ def validate(fan: StackyFan) -> ValidationReport:
     1.2.13).  Each facet normal's far side, the used rays it puts on or
     beyond its hyperplane, is one set built once per call, so a pair's test
     is a set inclusion (_non_face_pairs).  Any other pair is intersected by
-    one double description run on the two cones' chart rows, and the
-    intersection must lie in the span of the common rays: a charted cone's
-    coordinates at its rays that the other lacks must vanish on it.
+    one double description run on the two cones' chart rows, made primitive
+    once per cone, with no Cone built for the pair; the intersection must
+    lie in the span of the common rays: a charted cone's coordinates at its
+    rays that the other lacks must vanish on it.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -239,22 +240,26 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
     a common face.  far[k] has one far side per facet normal h of cone k:
     the used rays j with h.v_j < 0, or = 0 and j in cone k.  If another
     cone's rays all lie there, the two meet in h's hyperplane, in a face.
-    A cone's inequalities are its chart rows (x in it iff m B^-1 x >= 0), or
-    with no chart its Cone's, built at its first unseparated pair."""
+    A cone's inequalities are its chart rows (x in it iff m B^-1 x >= 0) as
+    primitive tuples, or with no chart its Cone's, built at its first
+    unseparated pair; a pair is intersected by cones._dual_generators on
+    the two lists, which the DD run sorts and deduplicates."""
     rays = [frozenset(cone) for cone in fan.max_cones]
     used = [(j, fan.rays[j].free) for j in set().union(*rays)]
     far = [() if chart is None else [
         frozenset([j for j, v in used if (p := sum(map(mul, h, v))) < 0 or p == 0 and j in cone])
         for h in chart[1]] for cone, chart in zip(rays, fan.charts)]
-    ineqs = {k: chart[1] for k, chart in enumerate(fan.charts) if chart}
+    ineqs: dict[int, Sequence[IntVec]] = {}
     bad_pairs = []
     for a, b in itertools.combinations(range(len(rays)), 2):
         if any(rays[b] <= s for s in far[a]) or any(rays[a] <= s for s in far[b]):
             continue
         for k in (a, b):
             if k not in ineqs:
-                ineqs[k] = _cone_of(fan, fan.max_cones[k]).inequalities
-        meet = Cone(fan.dim, [*ineqs[a], *ineqs[b]]).dual().generators
+                chart = fan.charts[k]
+                ineqs[k] = [primitive_direction(h) for h in chart[1]] if chart else \
+                    _cone_of(fan, fan.max_cones[k]).inequalities
+        meet = _dual_generators(fan.dim, [*ineqs[a], *ineqs[b]])
         # the cone on the common rays lies in both, so they meet in it iff their
         # intersection lies in their span: a charted cone's coordinates vanish
         # on it at its rays that the other lacks (else a rank test)

@@ -204,6 +204,37 @@ def test_halfspace_description_matches_fraction_oracle(system):
         assert all(dot(a, r) >= 0 for a in rows)
 
 
+@st.composite
+def unnormalized_systems(draw):
+    """constraint_systems with rows that a Cone would normalize first: some
+    scaled by 2 or 3, some repeated at another scale, and some paired with
+    their negation (an equation), all shuffled."""
+    dim, rows = draw(constraint_systems())
+    scale = st.integers(min_value=2, max_value=3)
+    rows = [tuple(draw(scale) * x for x in r) if draw(st.booleans()) else r for r in rows]
+    if rows:
+        rows += [tuple(draw(scale) * x for x in r)
+                 for r in draw(st.lists(st.sampled_from(rows), max_size=3))]
+        rows += [tuple(-x for x in r)
+                 for r in draw(st.lists(st.sampled_from(rows), max_size=2))]
+    return dim, draw(st.permutations(rows))
+
+
+@given(unnormalized_systems())
+@example((3, [(2, 0, 0), (1, 0, 0), (0, 3, -3), (0, -1, 1)]))
+@example((2, [(1, 1), (3, 3), (-2, -2), (0, 2)]))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_dd_output_needs_no_normalization(system):
+    # Cone.dual() and fan.validate take the DD run's generators as they come:
+    # already sorted, primitive and distinct, on any integer rows
+    dim, rows = system
+    gens = cones._flatten(*cones._halfspace_description(dim, rows))
+    assert gens == cones._dedup_primitive(dim, gens)
+    assert list(gens) == sorted(set(gens))
+    assert all(primitive_direction(g) == g for g in gens)
+    assert Cone(dim, rows).dual().generators == gens
+
+
 @given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.lists(
     st.tuples(*[st.integers(min_value=-5, max_value=5)] * n), max_size=6)))
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -30,6 +30,7 @@ from stackycones.fan import (
     validate,
 )
 from stackycones.boxes import minimal_cone_coeffs
+from stackycones.linalg import primitive_direction
 
 
 def _p1():
@@ -429,11 +430,11 @@ def _orthants(k):
                   for signs in itertools.product((0, 1), repeat=k)]
 
 
-def test_validate_builds_a_cone_only_for_unseparated_pairs(monkeypatch):
-    # one intersection Cone per unseparated pair, on the two cones'
-    # inequalities (chart rows for a cone with a chart), plus one Cone per
-    # chart-less cone in such a pair, built once; none on a charted cone's
-    # rays, and none when the ridge certificate holds or every pair is separated
+def test_validate_builds_a_cone_only_for_unseparated_pairs(monkeypatch, dd_runs):
+    # a Cone only for a chart-less cone in an unseparated pair, on its rays
+    # and built once, and one DD run per unseparated pair (plus that Cone's
+    # dual); a charted cone's rows and a pair's intersection build no Cone,
+    # and nothing runs when the ridge certificate holds or every pair is separated
     rays, orthants = _orthants(3)
     fans = all_fixture_fans() + [
         StackyFan(fan.group, fan.rays, fan.max_cones[1:], name=fan.name + "-drop")
@@ -446,28 +447,24 @@ def test_validate_builds_a_cone_only_for_unseparated_pairs(monkeypatch):
     def key(vectors):
         return tuple(map(tuple, vectors))
 
-    def inequalities(fan, k):
-        chart = fan.charts[k]
-        return chart[1] if chart else _cone_of(fan, fan.max_cones[k]).inequalities
-
     expected = []
     for fan in fans:
         pairs = [] if validate(fan).ok else unseparated_pairs(fan)
         chartless = {k for pair in pairs for k in pair if fan.charts[k] is None}
-        expected.append(Counter(
-            [key(fan.rays[i].free for i in fan.max_cones[k]) for k in chartless]
-            + [key([*inequalities(fan, a), *inequalities(fan, b)]) for a, b in pairs]))
+        expected.append((Counter(key(fan.rays[i].free for i in fan.max_cones[k])
+                                 for k in chartless), len(pairs) + len(chartless)))
     built = []
     real_cone = fan_module.Cone
     monkeypatch.setattr(fan_module, "Cone", lambda d, generators: built.append(
         key(generators)) or real_cone(d, generators))
     counts = []
-    for fan, cones in zip(fans, expected):
+    for fan, (cones, runs) in zip(fans, expected):
         built.clear()
+        dd_runs.clear()
         report = validate(fan)
         assert Counter(built) == cones, fan.name
-        chartless = any(fan.charts[k] is None for k in range(len(fan.max_cones)))
-        counts.append((report.ok, bool(built), chartless))
+        assert len(dd_runs) == runs, fan.name
+        counts.append((report.ok, bool(dd_runs), bool(built)))
     assert set(counts) == {(True, False, False), (False, False, False),
                            (False, True, False), (False, True, True)}, counts
 
@@ -485,6 +482,31 @@ def test_facet_normals_spare_pairwise_dd_runs(dd_runs, kind, m, mutation, runs):
     assert len(dd_runs) == runs == len(unseparated_pairs(fan))
     battery_validate(fan)
     assert runs < len(dd_runs) - runs
+
+
+def _orthants_drop(k):
+    rays, cones = _orthants(k)
+    return _fan(k, rays, cones[:5] + cones[6:])
+
+
+@pytest.mark.parametrize("fan", [
+    _mutated_fan(random.Random(1), "polygon", 12, "drop"),
+    _mutated_fan(random.Random(1), "prism", 6, "widen"),
+    _orthants_drop(5),
+], ids=["polygon-12-drop", "prism-6-widen", "p1-5-drop"])
+def test_each_pairwise_dd_run_gets_the_pairs_primitive_chart_rows(dd_runs, fan):
+    # the pairwise check's DD runs receive, per unseparated pair in order, the
+    # two cones' chart rows as primitive tuples; the run starts by sorting and
+    # deduplicating them, which gives exactly the constraints it had when a
+    # Cone normalized them for every pair
+    assert all(fan.charts) and not validate(fan).ok
+    pairs = unseparated_pairs(fan)
+    assert len(dd_runs) == len(pairs) > 0
+    for (dim, constraints), (a, b) in zip(dd_runs, pairs):
+        rows = fan.charts[a][1] + fan.charts[b][1]
+        assert dim == fan.dim
+        assert constraints == [primitive_direction(h) for h in rows]
+        assert sorted(set(constraints)) == sorted({primitive_direction(h) for h in rows})
 
 
 ORTHANT_CHANGES = ("drop", "twice", "lower", "two-lower")
