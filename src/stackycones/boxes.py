@@ -24,6 +24,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
+from .cones import EnumerationLimitError
 from .fan import NElement, StackyFan
 from .linalg import IntVec
 
@@ -35,11 +36,6 @@ ENUMERATION_LIMIT = 10 ** 5
 class IncompleteFanError(RuntimeError):
     """No maximal cone contains the requested point; the fan cannot be
     complete (validation escape hatch)."""
-
-
-class EnumerationLimitError(ValueError):
-    """A fan's box walks passed ENUMERATION_LIMIT box elements, counted cone by
-    cone, or its class spaces need more than neron_severi.CLASS_SPACE_LIMIT."""
 
 
 # a_rho(y) on the rays of y's minimal cone: (ray index, value) pairs, sorted

@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 2 validation failure or a fan too large to
-enumerate or to build class spaces for, 3 theorem-verification mismatch,
-64 usage or parse error.
+enumerate or to build class spaces for, or a cone too large to dualize,
+3 theorem-verification mismatch, 64 usage or parse error.
 Every command takes a fan file and an optional ``--json`` flag switching
 from the human-readable tables to a machine-readable document in which
 exact rationals appear as ``{"num": "...", "den": "..."}`` decimal

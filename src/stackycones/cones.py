@@ -12,8 +12,8 @@ the package's one Gauss-Jordan elimination), so no ``Fraction`` is built.  Outpu
 sorted), so they are stable across runs and usable in golden files.
 
 Every run goes through ``_dual_generators``, from :meth:`Cone.dual` or on
-rows a caller has made primitive (``fan.validate``'s pair intersections,
-which build no ``Cone``); its output is not normalized again.
+rows a caller has made primitive (``fan.validate``'s pair intersections and
+chart-less cones, which build no ``Cone``); its output is not normalized again.
 """
 
 from __future__ import annotations
@@ -33,6 +33,16 @@ from .linalg import (
     unit_vector,
     vneg,
 )
+
+# a DD run refuses more distinct constraints than this: 48,480 go in at about
+# 200 a second; the largest test or benchmark input has 196
+DD_CONSTRAINT_LIMIT = 10 ** 4
+
+
+class EnumerationLimitError(ValueError):
+    """Past a size limit: boxes.ENUMERATION_LIMIT box elements, counted cone by
+    cone, neron_severi.CLASS_SPACE_LIMIT class-space coordinates, or
+    DD_CONSTRAINT_LIMIT distinct constraints of one DD run."""
 
 
 def _dedup_primitive(dim: int, vectors: Sequence[Sequence[Number]]) -> tuple[IntVec, ...]:
@@ -72,9 +82,14 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
     is the reduced echelon form taken from the last column backwards, each
     row primitive with first nonzero coordinate positive, sorted.  With no
     constraints it is the standard basis in index order.  Each ray is then
-    reduced modulo the lineality (see _reduce_mod_lineality).
+    reduced modulo the lineality (see _reduce_mod_lineality).  Raises
+    EnumerationLimitError past DD_CONSTRAINT_LIMIT distinct constraints.
     """
     constraints = sorted(set(constraints))
+    if len(constraints) > DD_CONSTRAINT_LIMIT:
+        raise EnumerationLimitError(
+            f"cone too large to dualize: {len(constraints)} distinct constraints "
+            f"(limit {DD_CONSTRAINT_LIMIT})")
     if dim == 0:
         return (), ()
     lin: list[IntVec] = [unit_vector(dim, i) for i in range(dim)]

@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
-from .cones import Cone, _dual_generators
+from .cones import _dual_generators
 from .linalg import IntVec, primitive, primitive_direction
 
 
@@ -167,10 +167,6 @@ class ValidationReport:
         return out
 
 
-def _cone_of(fan: StackyFan, ray_indices: Sequence[int]) -> Cone:
-    return Cone(fan.dim, [fan.rays[i].free for i in ray_indices])
-
-
 def validate(fan: StackyFan) -> ValidationReport:
     """Run the validation checks and report pass/fail per check.
 
@@ -187,10 +183,10 @@ def validate(fan: StackyFan) -> ValidationReport:
     1.2.13).  Each facet normal's far side, the used rays it puts on or
     beyond its hyperplane, is one set built once per call, so a pair's test
     is a set inclusion (_non_face_pairs).  Any other pair is intersected by
-    one double description run on the two cones' chart rows, made primitive
-    once per cone, with no Cone built for the pair; the intersection must
-    lie in the span of the common rays: a charted cone's coordinates at its
-    rays that the other lacks must vanish on it.
+    one double description run on the two cones' inequality rows, made
+    primitive once per cone, with no Cone built; the two meet in a face iff
+    that intersection is the cone on their common rays, so the run's
+    canonical generators must be those rays, primitive and sorted.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -206,7 +202,6 @@ def validate(fan: StackyFan) -> ValidationReport:
             CheckResult("complete", False, "skipped: zero rays"),
             CheckResult("finite_cokernel", False, "skipped: zero rays")))
 
-    normals = [chart[1] if chart else None for chart in fan.charts]
     bad_simplicial = [cone for cone, chart in zip(fan.max_cones, fan.charts)
                       if chart is None and (len(cone) == d or linalg.rank(
                           [fan.rays[i].free for i in cone]) != len(cone))]
@@ -216,7 +211,7 @@ def validate(fan: StackyFan) -> ValidationReport:
         "" if simplicial else f"linearly dependent cones: {bad_simplicial}"))
 
     if simplicial:
-        complete, covers = _completeness_check(fan, normals)
+        complete, covers = _completeness_check(fan)
         bad_pairs = [] if covers == 1 else _non_face_pairs(fan)
         checks.append(CheckResult(
             "pairwise_intersections", not bad_pairs,
@@ -240,10 +235,12 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
     a common face.  far[k] has one far side per facet normal h of cone k:
     the used rays j with h.v_j < 0, or = 0 and j in cone k.  If another
     cone's rays all lie there, the two meet in h's hyperplane, in a face.
-    A cone's inequalities are its chart rows (x in it iff m B^-1 x >= 0) as
-    primitive tuples, or with no chart its Cone's, built at its first
-    unseparated pair; a pair is intersected by cones._dual_generators on
-    the two lists, which the DD run sorts and deduplicates."""
+    Any other pair is intersected by cones._dual_generators on the two
+    cones' inequalities: primitive chart rows (x in it iff m B^-1 x >= 0),
+    or with no chart the dual generators of its primitive rays.  Both cones
+    are simplicial, so pointed, and the intersection contains the cone on
+    their common rays, which are independent: the pair meets in a face iff
+    the run returns exactly those rays, primitive and sorted."""
     rays = [frozenset(cone) for cone in fan.max_cones]
     used = [(j, fan.rays[j].free) for j in set().union(*rays)]
     far = [() if chart is None else [
@@ -258,26 +255,17 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
             if k not in ineqs:
                 chart = fan.charts[k]
                 ineqs[k] = [primitive_direction(h) for h in chart[1]] if chart else \
-                    _cone_of(fan, fan.max_cones[k]).inequalities
-        meet = _dual_generators(fan.dim, [*ineqs[a], *ineqs[b]])
-        # the cone on the common rays lies in both, so they meet in it iff their
-        # intersection lies in their span: a charted cone's coordinates vanish
-        # on it at its rays that the other lacks (else a rank test)
-        k, other = (b, a) if fan.charts[b] else (a, b)
-        if fan.charts[k]:
-            off = [h for i, h in zip(fan.max_cones[k], fan.charts[k][1]) if i not in rays[other]]
-            outside = any(sum(map(mul, h, g)) for g in meet for h in off)
-        else:
-            common = [fan.rays[i].free for i in rays[a] & rays[b]]
-            outside = any(linalg.rank(common + [g]) > len(common) for g in meet)
-        if outside:
+                    _dual_generators(fan.dim, [primitive_direction(fan.rays[i].free)
+                                               for i in fan.max_cones[k]])
+        face = tuple(sorted([primitive_direction(fan.rays[i].free) for i in rays[a] & rays[b]]))
+        if _dual_generators(fan.dim, [*ineqs[a], *ineqs[b]]) != face:
             bad_pairs.append((fan.max_cones[a], fan.max_cones[b]))
     return bad_pairs
 
 
-def _completeness_check(fan: StackyFan, normals: list) -> tuple[CheckResult, int]:
-    """The completeness check, from the facet normals of the maximal cones, and
-    how many of them contain one generic point (0 unless the ridges certify)."""
+def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
+    """The completeness check, from the facet normals in fan.charts, and how
+    many maximal cones contain one generic point (0 unless the ridges certify)."""
     d = fan.dim
     if not fan.max_cones:
         return CheckResult("complete", False, "no maximal cones"), 0
@@ -293,7 +281,7 @@ def _completeness_check(fan: StackyFan, normals: list) -> tuple[CheckResult, int
         # every ridge (facet of a maximal cone) must lie in exactly two maximal
         # cones, with apexes on opposite sides: its normal in one is < 0 on the other
         ridges: dict[frozenset, list[tuple[list[int], IntVec]]] = {}
-        for cone, hs in zip(fan.max_cones, normals):
+        for cone, (_, hs) in zip(fan.max_cones, fan.charts):
             facets, cs = dict(zip(cone, hs)), frozenset(cone)
             for drop in cs:
                 ridges.setdefault(cs - {drop}, []).append((facets[drop], fan.rays[drop].free))
@@ -312,7 +300,7 @@ def _completeness_check(fan: StackyFan, normals: list) -> tuple[CheckResult, int
         # the curve lies in no hyperplane, so only finitely many s fail
         curve = (tuple(s ** j for j in range(d)) for s in itertools.count(2))
         point = next(p for p in curve if all(sum(map(mul, h, p)) for (h, _), _ in ridges.values()))
-        covers = sum(all(sum(map(mul, h, point)) >= 0 for h in hs) for hs in normals)
+        covers = sum(all(sum(map(mul, h, point)) >= 0 for h in hs) for _, hs in fan.charts)
         if d == 0 and covers > 1:  # no ridges glue them, and {0} is one cone
             problems.append(f"{covers} maximal cones in rank 0")
     return CheckResult("complete", not problems, "; ".join(problems)), covers

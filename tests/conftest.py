@@ -15,8 +15,8 @@ import pytest
 
 from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
                          load_fan, orbcones)
-from stackycones.cones import intersect
-from stackycones.fan import CheckResult, ValidationReport, _cone_of, ray_data
+from stackycones.cones import Cone, intersect
+from stackycones.fan import CheckResult, ValidationReport, ray_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
@@ -326,6 +326,11 @@ def acoeffs_from_pairs(pairs) -> tuple:
     return entries
 
 
+def cone_on_rays(fan: StackyFan, ray_indices) -> Cone:
+    """The Cone generated by the free parts of these rays of the fan."""
+    return Cone(fan.dim, [fan.rays[i].free for i in ray_indices])
+
+
 def battery_validate(fan: StackyFan) -> ValidationReport:
     """The validation battery that fan.validate's ridge certificate
     replaced, kept verbatim as an oracle: checks (a)-(e) of fan.validate,
@@ -359,12 +364,12 @@ def battery_validate(fan: StackyFan) -> ValidationReport:
 
     if simplicial:
         bad_pairs = []
-        cones = [_cone_of(fan, c) for c in fan.max_cones]
+        cones = [cone_on_rays(fan, c) for c in fan.max_cones]
         for a, b in itertools.combinations(range(len(fan.max_cones)), 2):
             ca, cb = fan.max_cones[a], fan.max_cones[b]
             # the cone on the common rays lies in both cones, so the two
             # meet in it iff their intersection lies in it
-            face = _cone_of(fan, sorted(set(ca) & set(cb)))
+            face = cone_on_rays(fan, sorted(set(ca) & set(cb)))
             if not all(face.contains(g)
                        for g in intersect(cones[a], cones[b]).generators):
                 bad_pairs.append((ca, cb))
@@ -411,15 +416,34 @@ def pairwise_oracle(fan: StackyFan) -> CheckResult:
     way it ran before far-side sets: every unseparated pair intersected by
     one double description run, on a Cone per cone built up front, and its
     intersection tested against the face Cone on the common rays."""
-    cones = [_cone_of(fan, c) for c in fan.max_cones]
+    cones = [cone_on_rays(fan, c) for c in fan.max_cones]
     bad_pairs = []
     for a, b in unseparated_pairs(fan):
         ca, cb = fan.max_cones[a], fan.max_cones[b]
-        face = _cone_of(fan, sorted(set(ca) & set(cb)))
+        face = cone_on_rays(fan, sorted(set(ca) & set(cb)))
         if not all(face.contains(g) for g in intersect(cones[a], cones[b]).generators):
             bad_pairs.append((ca, cb))
     return CheckResult("pairwise_intersections", not bad_pairs,
                        "" if not bad_pairs else f"non-face intersections: {bad_pairs}")
+
+
+def meets_in_a_face(fan: StackyFan, a: int, b: int) -> bool:
+    """The face test that fan._non_face_pairs ran before it compared the
+    intersection with the cone on the common rays, kept as an oracle: the
+    maximal cones at positions a and b (simplicial) meet in a face iff their
+    intersection lies in the span of their common rays.  With a chart, a
+    cone's coordinates at its rays that the other lacks must vanish on every
+    generator of the intersection; with neither chart, adding a generator to
+    the common rays must not raise their rank."""
+    ca, cb = fan.max_cones[a], fan.max_cones[b]
+    meet = intersect(cone_on_rays(fan, ca), cone_on_rays(fan, cb)).generators
+    k, other = (b, a) if fan.charts[b] else (a, b)
+    if fan.charts[k]:
+        off = [h for i, h in zip(fan.max_cones[k], fan.charts[k][1])
+               if i not in fan.max_cones[other]]
+        return not any(sum(map(mul, h, g)) for g in meet for h in off)
+    common = [fan.rays[i].free for i in set(ca) & set(cb)]
+    return all(linalg.rank(common + [g]) == len(common) for g in meet)
 
 
 def _battery_completeness_check(fan: StackyFan) -> CheckResult:

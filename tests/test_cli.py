@@ -13,7 +13,7 @@ from conftest import (FIXTURE_NAMES, REPO_ROOT, _count_calls, fixture_fan,
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from stackycones import boxes, cli, linalg, neron_severi, orbcones
+from stackycones import boxes, cli, cones, linalg, neron_severi, orbcones
 from stackycones.cli import main
 
 FOOTBALL = str(fixture_path("football"))
@@ -383,6 +383,26 @@ def test_class_spaces_too_large_exit_two(tmp_path):
 def test_class_spaces_below_the_limit_run(tmp_path):
     results = _run_capped(_torsion_line(tmp_path, 250), "ns", "xi")
     assert results["ns"][:2] == results["xi"][:2] == [0, ""]
+
+
+def test_cone_too_large_to_dualize_exits_two(tmp_path, monkeypatch, capsys):
+    # rays (5), (-4) with torsion Z/3 x Z/4 (t = 95): Mov's DD run gets its
+    # n + t = 97 functionals, dual(Mov)'s its 1,824 rays; under a limit of
+    # 1,000 only the second run refuses, before its first insertion
+    path = tmp_path / "t95.json"
+    path.write_text(json.dumps({
+        "name": "t95", "rank": 1, "torsion": [3, 4],
+        "rays": [{"beta_free": [5], "beta_torsion": [1, 1]}, {"beta_free": [-4]}],
+        "max_cones": [[0], [1]]}))
+    monkeypatch.setattr(cones, "DD_CONSTRAINT_LIMIT", 1000)
+    assert main(["mov", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    for command in ("peff", "verify"):
+        assert main([command, str(path)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err == ("error: cone too large to dualize: 1824 distinct "
+                       "constraints (limit 1000)\n"), command
 
 
 @st.composite

@@ -8,9 +8,11 @@ from conftest import (
     FIXTURE_NAMES,
     all_fixture_fans,
     battery_validate,
+    cone_on_rays,
     counted_dd_runs,
     facet_separates,
     fixture_fan,
+    meets_in_a_face,
     pairwise_oracle,
     polygon_rays,
     unseparated_pairs,
@@ -19,13 +21,12 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stackycones import fan as fan_module
-from stackycones.cones import intersect
+from stackycones.cones import Cone, intersect
 from stackycones.fan import (
     AbelianGroupSpec,
     FanStructureError,
     NElement,
     StackyFan,
-    _cone_of,
     ray_data,
     validate,
 )
@@ -361,8 +362,8 @@ def test_facet_shortcut_agrees_with_double_description():
         assume(None not in inverses)
         separated = (facet_separates(fan, inverses[0][1], sigma, tau)
                      or facet_separates(fan, inverses[1][1], tau, sigma))
-        face = _cone_of(fan, sorted(set(sigma) & set(tau)))
-        meet = intersect(_cone_of(fan, sigma), _cone_of(fan, tau))
+        face = cone_on_rays(fan, sorted(set(sigma) & set(tau)))
+        meet = intersect(cone_on_rays(fan, sigma), cone_on_rays(fan, tau))
         is_face = all(face.contains(g) for g in meet.generators)
         outcomes[separated, is_face] += 1
         if separated:
@@ -430,11 +431,10 @@ def _orthants(k):
                   for signs in itertools.product((0, 1), repeat=k)]
 
 
-def test_validate_builds_a_cone_only_for_unseparated_pairs(monkeypatch, dd_runs):
-    # a Cone only for a chart-less cone in an unseparated pair, on its rays
-    # and built once, and one DD run per unseparated pair (plus that Cone's
-    # dual); a charted cone's rows and a pair's intersection build no Cone,
-    # and nothing runs when the ridge certificate holds or every pair is separated
+def test_validate_builds_no_cone(monkeypatch, dd_runs):
+    # one DD run per unseparated pair, plus one per chart-less cone among
+    # them, on its primitive rays, made once; no Cone is built, and nothing
+    # runs when the ridge certificate holds or every pair is separated
     rays, orthants = _orthants(3)
     fans = all_fixture_fans() + [
         StackyFan(fan.group, fan.rays, fan.max_cones[1:], name=fan.name + "-drop")
@@ -444,27 +444,29 @@ def test_validate_builds_a_cone_only_for_unseparated_pairs(monkeypatch, dd_runs)
         _fan(3, rays, [orthants[0][:2]] + orthants[1:]),
         _fan(3, rays, [orthants[0][:2]] + orthants[1:-1] + [orthants[-1][:1]])]
 
-    def key(vectors):
-        return tuple(map(tuple, vectors))
-
     expected = []
     for fan in fans:
         pairs = [] if validate(fan).ok else unseparated_pairs(fan)
         chartless = {k for pair in pairs for k in pair if fan.charts[k] is None}
-        expected.append((Counter(key(fan.rays[i].free for i in fan.max_cones[k])
-                                 for k in chartless), len(pairs) + len(chartless)))
+        expected.append((Counter((fan.dim, tuple(sorted(
+            {primitive_direction(fan.rays[i].free) for i in fan.max_cones[k]})))
+            for k in chartless), len(pairs) + len(chartless)))
     built = []
-    real_cone = fan_module.Cone
-    monkeypatch.setattr(fan_module, "Cone", lambda d, generators: built.append(
-        key(generators)) or real_cone(d, generators))
+    real_init, real_of_canonical = Cone.__init__, Cone._of_canonical.__func__
+    monkeypatch.setattr(Cone, "__init__", lambda self, *args: built.append(
+        args) or real_init(self, *args))
+    monkeypatch.setattr(Cone, "_of_canonical", classmethod(
+        lambda cls, *args: built.append(args) or real_of_canonical(cls, *args)))
     counts = []
-    for fan, (cones, runs) in zip(fans, expected):
-        built.clear()
+    for fan, (chartless, runs) in zip(fans, expected):
         dd_runs.clear()
         report = validate(fan)
-        assert Counter(built) == cones, fan.name
+        assert built == [], fan.name
         assert len(dd_runs) == runs, fan.name
-        counts.append((report.ok, bool(dd_runs), bool(built)))
+        ray_runs = Counter((dim, tuple(sorted(set(constraints))))
+                           for dim, constraints in dd_runs)
+        assert {key: ray_runs[key] for key in chartless} == chartless, fan.name
+        counts.append((report.ok, bool(dd_runs), bool(chartless)))
     assert set(counts) == {(True, False, False), (False, False, False),
                            (False, True, False), (False, True, True)}, counts
 
@@ -546,8 +548,8 @@ def _orthant_fans(draw, change):
 
 @pytest.mark.parametrize("change", ORTHANT_CHANGES)
 def test_pairwise_check_agrees_with_the_oracle_in_rank_4_to_6(change):
-    # the chart-row intersections and the chart-coordinate face test give
-    # the oracle's pairwise check, verdict and detail, on products of P^1
+    # the chart-row intersections and the comparison with the common rays
+    # give the oracle's pairwise check, verdict and detail, on products of P^1
     verdicts = Counter()
 
     # no shrink phase: a P^1^6 example takes about 0.4 s, and shrinking a
@@ -564,6 +566,58 @@ def test_pairwise_check_agrees_with_the_oracle_in_rank_4_to_6(change):
     check()
     # both verdicts occur, so neither passes vacuously
     assert set(verdicts) == {True, False}, verdicts
+
+
+@st.composite
+def _facet_fans(draw):
+    """(source, fan): P^1^k for k = 3..6, one orthant skewed or not as in
+    _orthant_fans, or a _mutated_fan; then one or two maximal cones
+    replaced by one of their facets, which has no chart, and each ray
+    scaled by 1, 2 or 3, so that not every ray is primitive."""
+    source = draw(st.sampled_from(["orthants", "mutated"]))
+    if source == "orthants":
+        rays, cones = _orthants(draw(st.integers(3, 6)))
+        if draw(st.booleans()):
+            s = draw(st.integers(0, len(cones) - 1))
+            p, q = draw(st.permutations(cones[s]))[:2]
+            rays.append(tuple(x - y for x, y in zip(rays[p], rays[q])))
+            cones[s] = tuple(len(rays) - 1 if j == p else j for j in cones[s])
+    else:
+        fan = _mutated_fan(random.Random(draw(st.integers(0, 2 ** 32))),
+                           draw(st.sampled_from(["polygon", "prism"])),
+                           draw(st.integers(3, 6)), draw(st.sampled_from(MUTATIONS)))
+        rays, cones = [ray.free for ray in fan.rays], list(fan.max_cones)
+    for k in draw(st.lists(st.integers(0, len(cones) - 1), min_size=1, max_size=2,
+                           unique=True)):
+        drop = draw(st.sampled_from(cones[k]))
+        cones[k] = tuple(i for i in cones[k] if i != drop)
+    scales = draw(st.lists(st.integers(1, 3), min_size=len(rays), max_size=len(rays)))
+    return source, _fan(len(rays[0]), [tuple(c * x for x in v) for c, v in zip(scales, rays)],
+                        cones)
+
+
+def test_face_verdict_agrees_with_the_span_oracle():
+    # on every unseparated pair, comparing the intersection's DD output with
+    # the common rays gives the verdict of the chart-coordinate and rank tests
+    verdicts = Counter()
+
+    # no shrink phase: a P^1^6 example takes about 0.4 s
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None,
+              phases=[Phase.explicit, Phase.generate])
+    @given(drawn=_facet_fans())
+    def check(drawn):
+        source, fan = drawn
+        assume({c.name: c.passed for c in validate(fan).checks}["simplicial"])
+        faces = {(a, b): meets_in_a_face(fan, a, b) for a, b in unseparated_pairs(fan)}
+        assert fan_module._non_face_pairs(fan) == [
+            (fan.max_cones[a], fan.max_cones[b]) for (a, b), face in faces.items()
+            if not face], fan
+        verdicts.update((source, face) for face in faces.values())
+
+    check()
+    # both verdicts occur on both sources, so neither passes vacuously
+    assert set(verdicts) == {(s, v) for s in ("orthants", "mutated")
+                             for v in (True, False)}, verdicts
 
 
 @pytest.mark.parametrize("cones", [
