@@ -275,17 +275,10 @@ class Cone:
         return self.dual().dual().generators
 
     def intersect_with_subspace(self, equations: Sequence[Sequence[Number]]) -> "Cone":
-        """This cone intersected with {x : <e, x> = 0 for all e in equations}."""
-        constraints = list(self.inequalities)
-        for e in equations:
-            if len(e) != self.ambient_dim:
-                raise ValueError("equation dimension mismatch")
-            if is_zero_vec(e):
-                continue
-            w = primitive_direction(e)
-            constraints.append(w)
-            constraints.append(vneg(w))
-        return Cone(self.ambient_dim, constraints).dual()
+        """This cone intersected with {x : <e, x> = 0 for all e in equations}:
+        the dual of the cone on its inequalities and +/- each equation."""
+        return Cone(self.ambient_dim,
+                    [*self.inequalities, *equations, *map(vneg, equations)]).dual()
 
 
 def intersect(a: Cone, b: Cone) -> Cone:

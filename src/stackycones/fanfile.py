@@ -45,8 +45,7 @@ def fan_from_dict(doc: dict) -> StackyFan:
         raise FanFileError("name must be a string")
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise FanFileError("rank must be an integer")
-    if not isinstance(torsion, list) or not all(
-            isinstance(l, int) and not isinstance(l, bool) for l in torsion):
+    if not _int_list(torsion):
         raise FanFileError("torsion must be a list of integers")
     if not isinstance(rays_doc, list) or not isinstance(max_cones, list):
         raise FanFileError("rays and max_cones must be lists")

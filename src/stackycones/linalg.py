@@ -7,10 +7,11 @@ package: cone membership and strict inequalities downstream must be
 decided exactly.
 
 Elimination is fraction-free, in two integer loops: ``_echelon``
-(Gauss-Jordan) behind ``rref``, ``kernel_basis``, ``cone_inverse`` (the
-chart table StackyFan.charts, read by fan validation, the box walk, point
-location and the reduction q; through it ``inverse`` and ``solve_square``)
-and the cone engine, ``_bareiss`` behind ``rank`` and ``det``.
+(Gauss-Jordan) behind ``rref`` (through it ``inverse`` and
+``solve_square``), ``kernel_basis``, ``cone_inverse`` (the chart table
+StackyFan.charts, read by fan validation, the box walk, point location and
+the reduction q) and the cone engine, ``_bareiss`` behind ``rank`` and
+``det``.
 Rows are cleared of denominators first; only results are ``Fraction``s.
 
 Tuples built on every call of the sector pipeline are made from lists,
@@ -249,30 +250,24 @@ def cone_inverse(vectors: Sequence[Sequence[int]]) -> Optional[tuple[int, list[l
 
 
 def inverse(rows: Sequence[Sequence[Number]]) -> Optional[Matrix]:
-    """Exact inverse of a square rational matrix; None when singular.
-
-    Clearing row i's denominators multiplies it by s_i > 0, giving S A with
-    S = diag(s_i), so A^-1 = (S A)^-1 S: cone_inverse's m (S A)^-1 with
-    column i scaled by s_i / m."""
+    """Exact inverse of a square rational matrix A: the right half of
+    rref([A | I]).  None when A is singular, i.e. unless the pivots are
+    exactly the columns 0..n-1 of A."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse needs a square matrix")
-    cleared = [_clear_denominators(row) for row in rows]
-    chart = cone_inverse(list(zip(*[ints for ints, _ in cleared])))
-    if chart is None:
+    reduced, pivots = rref([[*row, *unit_vector(n, i)] for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
         return None
-    m, adj = chart
-    return tuple([tuple([Fraction(x * s, m) for x, (_, s) in zip(row, cleared)])
-                  for row in adj])
+    return tuple([tuple(row[n:]) for row in reduced])
 
 
 def solve_square(rows: Sequence[Sequence[Number]], y: Sequence[Number]) -> Optional[RatVec]:
-    """Solve A x = y for square A, as A^-1 y; None when A is singular."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("solve_square needs a square matrix")
-    if len(y) != n:
-        raise ValueError(f"dimension mismatch: matrix is {n}x{n}, rhs has length {len(y)}")
+    """Solve A x = y for square A, as A^-1 y (inverse checks that A is
+    square); None when A is singular."""
+    if len(y) != len(rows):
+        raise ValueError(f"dimension mismatch: matrix has {len(rows)} rows, "
+                         f"rhs has length {len(y)}")
     inv = inverse(rows)
     return None if inv is None else tuple([sum([a * b for a, b in zip(row, y)], Fraction(0))
                                            for row in inv])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .boxes import BoxElement, EnumerationLimitError
@@ -31,30 +32,34 @@ from .linalg import (
     RatVec,
     dot,
     kernel_basis,
-    rank,
     unit_vector,
 )
 
 
 @dataclass(frozen=True)
 class AmbientSpaces:
-    """Dimensions, structure matrices and the fixed curve basis.
+    """Dimensions, beta' and the canonical basis of its kernel.
 
-    alpha has one row per ray, holding the primitive vector w_rho (its
-    orbifold version appends zero rows for sectors); beta_prime has the
-    w_rho as columns, and beta_prime_orb appends zero columns for sectors.
+    beta_prime has the primitive ray vectors w_rho as columns; alpha is its
+    transpose and beta'_orb pads it with zero sector columns, so neither is
+    stored.  The curve basis of N_1,orb = ker beta'_orb (the kernel padded
+    with zero sector coordinates, then the sector unit vectors) is built on
+    first read: only ``ns`` prints it.
     """
 
     n: int
     d: int
     t: int
-    alpha: Matrix
     beta_prime: Matrix
-    beta_prime_orb: Matrix
     ker_beta_prime: tuple[IntVec, ...]
-    curve_basis: tuple[IntVec, ...]
     ray_cs: tuple[int, ...]
     labels: tuple[str, ...]
+
+    @cached_property
+    def curve_basis(self) -> tuple[IntVec, ...]:
+        n, t = self.n, self.t
+        return tuple([k + (0,) * t for k in self.ker_beta_prime]
+                     + [unit_vector(n + t, n + j) for j in range(t)])
 
     @property
     def dim_ns(self) -> int:
@@ -66,7 +71,7 @@ class AmbientSpaces:
 
 
 # build_spaces refuses fans with more ray and sector coordinates n + t: the
-# curve basis and the views of Xi hold O((n + t)^2) dense entries; at
+# curve basis (built for ns) and the views of Xi hold O((n + t)^2) dense entries; at
 # n + t = 481 `stackycones xi` takes about 0.1 s and 24 MB (1.4 MB of text)
 CLASS_SPACE_LIMIT = 500
 
@@ -77,8 +82,9 @@ def eta_labels(n: int, t: int) -> tuple[str, ...]:
 
 
 def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces:
-    """Construct the structure matrices and the fixed curve basis, checking
-    the exactness and dimension identities they must satisfy.  Raises
+    """Construct beta' and its kernel by one elimination, checking the
+    exactness and dimension identities they must satisfy.  Raises ValueError
+    when beta' is rank-deficient (its kernel is too large) and
     EnumerationLimitError when n + t exceeds CLASS_SPACE_LIMIT."""
     n, d, t = fan.n_rays, fan.dim, len(sectors)
     if n + t > CLASS_SPACE_LIMIT:
@@ -86,29 +92,22 @@ def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces
             f"fan '{fan.name}' is too large for the class spaces: n + t = "
             f"{n + t} ray and sector coordinates (limit {CLASS_SPACE_LIMIT})")
     rd = ray_data(fan)
-    alpha = tuple([r.w for r in rd])
     beta_prime = tuple([tuple([r.w[j] for r in rd]) for j in range(d)])
-    beta_prime_orb = tuple([row + (0,) * t for row in beta_prime])
-    if rank(beta_prime) != d:
+    ker = kernel_basis(beta_prime, ncols=n)
+    if len(ker) > n - d:
         raise ValueError("beta' does not have full rank; the fan should not "
                          "have passed validation")
-    ker = kernel_basis(beta_prime, ncols=n)
     if len(ker) != n - d:
         raise AssertionError("kernel dimension disagrees with rank-nullity")
-    curve_basis = tuple([k + (0,) * t for k in ker]
-                        + [unit_vector(n + t, n + j) for j in range(t)])
-    # exactness: every column of alpha_orb pairs to zero with the curve basis;
-    # its sector rows are zero, so only the kernel vectors need checking
-    for col in zip(*alpha):
-        if any(dot(col, k) != 0 for k in ker):
+    # exactness: every column of alpha_orb (a row of beta' padded with zeros)
+    # pairs to zero with the curve basis; only the kernel vectors need checking
+    for row in beta_prime:
+        if any(dot(row, k) != 0 for k in ker):
             raise AssertionError("lambda_orb . alpha_orb != 0")
     return AmbientSpaces(
         n=n, d=d, t=t,
-        alpha=alpha,
         beta_prime=beta_prime,
-        beta_prime_orb=beta_prime_orb,
         ker_beta_prime=ker,
-        curve_basis=curve_basis,
         ray_cs=tuple([r.c for r in rd]),
         labels=eta_labels(n, t),
     )
@@ -134,7 +133,7 @@ def curve_class_from_v_orb(spaces: AmbientSpaces, v: Sequence[Number]) -> RatVec
     n, ker = spaces.n, spaces.ker_beta_prime
     if len(v) != n + spaces.t:
         raise ValueError("dimension mismatch")
-    if any(dot(row, v) != 0 for row in spaces.beta_prime_orb):
+    if any(dot(row, v[:n]) != 0 for row in spaces.beta_prime):
         raise ValueError("vector is not in the kernel of beta'_orb")
     free = [next(j for j in range(n) if k[j] and sum(1 for o in ker if o[j]) == 1)
             for k in ker]

@@ -326,6 +326,39 @@ def acoeffs_from_pairs(pairs) -> tuple:
     return entries
 
 
+def intersect_with_subspace_oracle(cone: Cone, equations) -> Cone:
+    """Cone.intersect_with_subspace as it was before the Cone constructor
+    normalized the equations, kept as an oracle: each nonzero equation is
+    checked and made primitive here, and goes in with its negation."""
+    constraints = list(cone.inequalities)
+    for e in equations:
+        if len(e) != cone.ambient_dim:
+            raise ValueError("equation dimension mismatch")
+        if linalg.is_zero_vec(e):
+            continue
+        w = linalg.primitive_direction(e)
+        constraints.append(w)
+        constraints.append(linalg.vneg(w))
+    return Cone(cone.ambient_dim, constraints).dual()
+
+
+def tight_set_rays(peff, mov) -> tuple:
+    """The extremal rays of the cone on the functionals peff, read off the
+    rays mov of its dual with no double description run: the primitive
+    nonzero functionals whose set of vanishing mov rays is maximal by
+    inclusion, sorted.  Exact when that cone is pointed, i.e. its dual is
+    full-dimensional: distinct facets of the dual vanish on incomparable
+    ray sets, and any other functional of the cone vanishes on the
+    intersection of the ray sets of two or more facets."""
+    tight = {}
+    for g in peff:
+        if any(g):
+            w = linalg.primitive_direction(g)
+            tight[w] = frozenset(i for i, r in enumerate(mov) if linalg.dot(w, r) == 0)
+    return tuple(sorted(w for w, rays in tight.items()
+                        if not any(rays < other for other in tight.values())))
+
+
 def cone_on_rays(fan: StackyFan, ray_indices) -> Cone:
     """The Cone generated by the free parts of these rays of the fan."""
     return Cone(fan.dim, [fan.rays[i].free for i in ray_indices])

@@ -213,10 +213,11 @@ def test_criterion_7_polyhedral_engine():
         for fan in all_fixture_fans():
             sectors = twisted_sectors(fan)
             spaces = build_spaces(fan, sectors)
-            assert rank(spaces.alpha) == spaces.d
+            alpha = tuple(zip(*spaces.beta_prime))  # alpha = beta' transposed
+            assert rank(alpha) == spaces.d
             assert len(spaces.curve_basis) == spaces.n - spaces.d + spaces.t
             for j in range(spaces.d):
-                col = tuple(row[j] for row in spaces.alpha) + (0,) * spaces.t
+                col = tuple(row[j] for row in alpha) + (0,) * spaces.t
                 assert all(dot(col, k) == 0 for k in spaces.curve_basis)
 
     _report(7, "dual(dual(C)) = C on 200 random cones; exactness battery "

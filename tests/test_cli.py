@@ -212,19 +212,21 @@ def test_each_stage_is_built_once_per_command(monkeypatch, dd_runs, command):
         assert len(dd_runs) == STAGE_DD_RUNS[command], (command, fixture)
 
 
-# the rational views of XiSystem each command builds: xi_star for the
-# restricted functionals of mov, peff and verify, and both for xi's output
-VIEWS_BUILT = {"xi": ["xi", "xi_star"], "mov": ["xi_star"], "peff": ["xi_star"],
-               "verify": ["xi_star"]}
+# the views each command builds: the rational views of XiSystem, xi_star for
+# the restricted functionals of mov, peff and verify and both for xi's
+# output, and the dense curve basis of AmbientSpaces for ns's output
+VIEWS_BUILT = {"ns": ["curve_basis"], "xi": ["xi", "xi_star"], "mov": ["xi_star"],
+               "peff": ["xi_star"], "verify": ["xi_star"]}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_command_builds_only_the_views_it_reads(monkeypatch, command):
     built = []
-    for name in ("xi", "xi_star"):
-        view = vars(orbcones.XiSystem)[name]
-        monkeypatch.setattr(view, "func", lambda system, name=name, func=view.func:
-                            built.append(name) or func(system))
+    for cls, name in ((orbcones.XiSystem, "xi"), (orbcones.XiSystem, "xi_star"),
+                      (neron_severi.AmbientSpaces, "curve_basis")):
+        view = vars(cls)[name]
+        monkeypatch.setattr(view, "func", lambda obj, name=name, func=view.func:
+                            built.append(name) or func(obj))
     for fixture in FIXTURE_NAMES:
         extra = ["--b=" + ",".join(["1"] * fixture_fan(fixture).dim)] \
             if command == "class-of-1ps" else []

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_kernel_basis, fraction_rref
+from conftest import (
+    counted_dd_runs,
+    fraction_kernel_basis,
+    fraction_rref,
+    intersect_with_subspace_oracle,
+)
 
 from stackycones import cones, linalg
 from stackycones.cones import Cone, intersect
@@ -132,6 +137,39 @@ def test_subspace_intersection_properties_random():
         for g in cut.generators:
             assert c.contains(g)
             assert all(dot(e, g) == 0 for e in eqs)
+
+
+@st.composite
+def _cones_and_equations(draw):
+    # a cone and equations with rational entries, among them zero equations,
+    # repeats and multiples of one another
+    dim = draw(st.integers(min_value=1, max_value=5))
+    vectors = st.lists(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)),
+                       min_size=dim, max_size=dim).map(tuple)
+    equations = draw(st.lists(vectors, max_size=3))
+    if equations and draw(st.booleans()):
+        equations.append(tuple(2 * x for x in draw(st.sampled_from(equations))))
+    if draw(st.booleans()):
+        equations.append((0,) * dim)
+    return Cone(dim, draw(st.lists(vectors, max_size=8))), draw(st.permutations(equations))
+
+
+@given(_cones_and_equations())
+@settings(max_examples=100, deadline=None)
+def test_intersect_with_subspace_matches_the_normalizing_loop(case):
+    # the constructor's normalization gives the DD run the same sorted
+    # constraints as the loop that made each equation primitive first
+    cone, equations = case
+    cone.dual()  # the cone's own DD run, made before the counted ones
+    with counted_dd_runs() as runs:
+        got = cone.intersect_with_subspace(equations)
+        expected = intersect_with_subspace_oracle(cone, equations)
+    assert got.generators == expected.generators
+    (dim, constraints), (oracle_dim, oracle_constraints) = runs
+    assert dim == oracle_dim == cone.ambient_dim
+    assert sorted(set(constraints)) == sorted(set(oracle_constraints))
+    with pytest.raises(ValueError):
+        cone.intersect_with_subspace([(0,) * (cone.ambient_dim + 1)])
 
 
 def test_inequality_cache_is_consistent_with_generators(dd_runs):

@@ -511,7 +511,30 @@ def test_each_pairwise_dd_run_gets_the_pairs_primitive_chart_rows(dd_runs, fan):
         assert sorted(set(constraints)) == sorted({primitive_direction(h) for h in rows})
 
 
-ORTHANT_CHANGES = ("drop", "twice", "lower", "two-lower")
+def test_pairwise_pass_stops_past_its_limit(monkeypatch, dd_runs):
+    # P^1^5 less a cone has 465 pairs of maximal cones: past the limit its
+    # pairwise check fails as not checked and tests no pair; at the limit,
+    # and under the limit's real value, the report is the same as without it
+    fan = _orthants_drop(5)
+    unbounded = validate(fan)
+    assert not unbounded.ok and len(dd_runs) > 0
+    monkeypatch.setattr(fan_module, "PAIRWISE_LIMIT", 465)
+    assert validate(fan) == unbounded
+    monkeypatch.setattr(fan_module, "PAIRWISE_LIMIT", 464)
+    dd_runs.clear()
+    report = validate(fan)
+    assert dd_runs == []
+    assert report.checks[2] == fan_module.CheckResult(
+        "pairwise_intersections", False,
+        "not checked: 465 pairs of maximal cones (limit 464)")
+    assert report.checks[:2] + report.checks[3:] == unbounded.checks[:2] + unbounded.checks[3:]
+    # a fan the ridges certify tests no pair, so the limit never applies
+    monkeypatch.setattr(fan_module, "PAIRWISE_LIMIT", 0)
+    rays, orthants = _orthants(5)
+    assert validate(_fan(5, rays, orthants)).ok
+
+
+ORTHANT_CHANGES =("drop", "twice", "lower", "two-lower")
 
 
 @st.composite

@@ -232,3 +232,36 @@ def test_cone_inverse_is_least_integral_multiple_of_inverse(vectors):
     m, adj = result
     assert m == lcm(*(x.denominator for row in inv for x in row))
     assert adj == [[m * x for x in row] for row in inv]
+
+
+@st.composite
+def square_cases(draw):
+    # (A, y): A rational, or each row cleared to integers (which keeps a
+    # dependent last row dependent), of size 0 to 5
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = draw(matrices(n, n))
+    if draw(st.booleans()):
+        rows = tuple(tuple(int(a * lcm(*(x.denominator for x in row))) for a in row)
+                     for row in rows)
+    return rows, draw(st.lists(entries, min_size=n, max_size=n))
+
+
+@given(square_cases())
+@settings(max_examples=150, deadline=None)
+def test_inverse_and_solve_square_match_fraction_gauss_jordan(case):
+    # inverse reads the right half off rref([A | I]); fraction_solve and
+    # sympy are independent oracles, on integer, rational and singular A
+    rows, y = case
+    n = len(rows)
+    inv = inverse(rows)
+    assert inv == fraction_solve(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    solution = fraction_solve(rows, [(a,) for a in y])
+    assert solve_square(rows, y) == (None if solution is None else
+                                     tuple(a for a, in solution))
+    if inv is not None:
+        assert all(type(x) is Fraction for row in inv for x in row)
+    if n:
+        oracle = sympy.Matrix(rows)
+        assert (inv is None) == (oracle.det() == 0)
+        if inv is not None:
+            assert sympy.Matrix(inv) == oracle.inv()

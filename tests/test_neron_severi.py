@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    _count_calls,
     all_fixture_fans,
     beta_variant,
     fixture_fan,
+    fraction_kernel_basis,
     fraction_solve,
     v_orb_of_curve,
 )
 
-from stackycones import neron_severi
+from stackycones import AbelianGroupSpec, NElement, StackyFan, linalg, neron_severi
 from stackycones.boxes import twisted_sectors
 from stackycones.linalg import dot, rank, unit_vector
 from stackycones.neron_severi import (
@@ -61,8 +63,9 @@ def test_lambda_orb_kills_alpha_image():
     for fan in all_fixture_fans():
         sectors = twisted_sectors(fan)
         spaces = build_spaces(fan, sectors)
+        alpha = tuple(zip(*spaces.beta_prime))  # alpha = beta' transposed
         for j in range(spaces.d):
-            column = tuple(row[j] for row in spaces.alpha) + (0,) * spaces.t
+            column = tuple(row[j] for row in alpha) + (0,) * spaces.t
             assert lambda_orb(spaces, column) == (0,) * spaces.dim_ns_orb
 
 
@@ -112,11 +115,14 @@ def test_exactness_battery():
     for fan in all_fixture_fans():
         sectors = twisted_sectors(fan)
         spaces = build_spaces(fan, sectors)
-        assert rank(spaces.alpha) == spaces.d
+        alpha = tuple(zip(*spaces.beta_prime))  # alpha = beta' transposed
+        # beta'_orb: beta' padded with zero sector columns
+        beta_prime_orb = tuple(row + (0,) * spaces.t for row in spaces.beta_prime)
+        assert rank(alpha) == spaces.d
         assert len(spaces.curve_basis) == spaces.dim_ns_orb
         for k in spaces.curve_basis:
-            assert all(dot(row, k) == 0 for row in spaces.beta_prime_orb)
-        for row in spaces.beta_prime_orb:
+            assert all(dot(row, k) == 0 for row in beta_prime_orb)
+        for row in beta_prime_orb:
             assert all(x == 0 for x in row[spaces.n:])
 
 
@@ -198,3 +204,38 @@ def test_build_spaces_checks_the_kernel(monkeypatch, corrupt, message):
     for fan in all_fixture_fans():
         with pytest.raises(AssertionError, match=re.escape(message)):
             build_spaces(fan, twisted_sectors(fan))
+
+
+def test_build_spaces_eliminates_beta_prime_once(monkeypatch):
+    # the kernel's size decides the rank: no rank call, one kernel_basis
+    ranks = _count_calls(monkeypatch, linalg, "rank")
+    kernels = _count_calls(monkeypatch, linalg, "kernel_basis")
+    for fan in all_fixture_fans():
+        sectors = twisted_sectors(fan)
+        ranks.clear()
+        kernels.clear()
+        build_spaces(fan, sectors)
+        assert (len(ranks), len(kernels)) == (0, 1), fan.name
+    # rays on one line of the plane: beta' has rank 1 < d = 2
+    flat = StackyFan(AbelianGroupSpec(2), (NElement((1, 0)), NElement((-1, 0)),
+                                           NElement((2, 0))), ((0,), (1,), (2,)))
+    with pytest.raises(ValueError, match="does not have full rank"):
+        build_spaces(flat, ())
+
+
+def test_curve_basis_is_the_padded_kernel_then_the_sector_units():
+    # oracle: the dense basis build_spaces stored before it became a view,
+    # from Fraction Gauss-Jordan; sorted, it is the canonical kernel basis
+    # of beta'_orb, which pads beta' with zero sector columns
+    rng = random.Random(29)
+    fans = all_fixture_fans()
+    fans += [beta_variant(fans[k % len(fans)], rng) for k in range(14)]
+    for fan in fans:
+        spaces = build_spaces(fan, twisted_sectors(fan))
+        n, t = spaces.n, spaces.t
+        ker = fraction_kernel_basis(spaces.beta_prime, n)
+        assert spaces.curve_basis == tuple([k + (0,) * t for k in ker]
+                                           + [unit_vector(n + t, n + j) for j in range(t)])
+        beta_prime_orb = [row + (0,) * t for row in spaces.beta_prime]
+        assert sorted(spaces.curve_basis) == list(fraction_kernel_basis(beta_prime_orb, n + t))
+        assert spaces.curve_basis is spaces.curve_basis

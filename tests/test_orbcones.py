@@ -18,6 +18,7 @@ from conftest import (
     fixture_fan,
     integer_rows,
     random_n_element,
+    tight_set_rays,
     vadd,
     vscale,
     weighted_projective_fan,
@@ -31,6 +32,7 @@ from stackycones.fanfile import fan_from_dict
 from stackycones.linalg import dot, rank
 from stackycones.neron_severi import build_spaces
 from stackycones.orbcones import (
+    Analysis,
     _check_dual_basis,
     build_xi,
     mov_cone,
@@ -541,6 +543,29 @@ def test_verify_duality_on_variants_smoke():
             variant = beta_variant(fan, rng, max_curve_dim=VERIFY_CURVE_DIM_CAP)
             report = verify_duality(variant)
             assert report.equal, (fan.name, [r.free for r in variant.rays])
+
+
+def _curve_dim(fan):
+    return fan.n_rays - fan.dim + len(twisted_sectors(fan))
+
+
+@given(st.one_of(
+    st.sampled_from(FIXTURE_NAMES).map(fixture_fan),
+    st.builds(lambda name, seed: beta_variant(fixture_fan(name), random.Random(seed),
+                                              max_curve_dim=VERIFY_CURVE_DIM_CAP),
+              st.sampled_from(FIXTURE_NAMES), st.integers(0, 2 ** 32)),
+    _product_fans().map(lambda factors: product_fan(factors[0][0], factors[1][0]))
+    .filter(lambda fan: _curve_dim(fan) <= VERIFY_CURVE_DIM_CAP)))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def test_peff_extremal_rays_are_the_tight_set_rays(fan):
+    # an oracle with no DD run of its own: PEff's extremal rays are the
+    # functionals whose tight sets on the rays of Mov are maximal, which is
+    # exact because Mov is full-dimensional
+    analysis = Analysis(fan)
+    mov = analysis.peff.dual().generators
+    assert rank(mov) == analysis.spaces.dim_ns_orb
+    assert tight_set_rays(analysis.functionals, mov) == \
+        analysis.peff.canonical_generators(), fan.name
 
 
 def test_verify_duality_reports_a_mismatch(drop_last_dual_of_mov_ray, dd_runs):
