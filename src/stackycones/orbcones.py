@@ -51,7 +51,7 @@ from itertools import compress
 from math import lcm
 from typing import Optional, Sequence
 
-from .boxes import BoxElement, _locate, _reduce, twisted_sectors
+from .boxes import BoxElement, _box_point, _locate, twisted_sectors
 from .cones import Cone
 from .fan import NElement, StackyFan
 # dot is not called here, but perfbench's tracer test reads orbcones.dot
@@ -186,25 +186,38 @@ def _check_dual_basis(xi: Sequence[IntRow], xi_star: Sequence[IntRow]) -> None:
 def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
                  spaces: AmbientSpaces, b: NElement) -> OnePSClass:
     """Class vector sum_rho a_rho(b) bb_rho + v_{q(b)} together with its
-    decomposition data (floor multiplicities per ray, sector via q)."""
+    decomposition data (floor multiplicities per ray, sector via q).
+
+    One walk on the ridge table locates b (boxes._locate); its chart
+    coordinates give both a(b) and q(b)'s box point.  A twisted q(b) is the
+    element of ``sectors`` itself, found by bisection; only the untwisted
+    sector is built here."""
     b = b.reduced(fan.group)
     cone, c, m = _locate(fan, b.free)
-    sector = _reduce(fan, b, cone, c, m)
+    _, rig = _box_point(fan, cone, c, m)
     v = [Fraction(0)] * (spaces.n + spaces.t)
     multiplicities = [0] * spaces.n
     for i, x in zip(cone, c):
-        v[i] = Fraction(x * spaces.ray_cs[i], m)
-        multiplicities[i] = x // m
-    j = None if sector.is_untwisted else sector_index(sectors, sector)
-    if j is not None:
+        if x:
+            v[i] = Fraction(x * spaces.ray_cs[i], m)
+            multiplicities[i] = x // m
+    if any(rig) or any(b.torsion):
+        j = _bisect_sectors(sectors, (rig, b.torsion))
+        sector = sectors[j]
         v[spaces.n + j] = Fraction(1)
+    else:
+        j, sector = None, BoxElement(rig, b.torsion, ())
     return OnePSClass(b=b, class_vector=tuple(v), sector=sector,
                       ray_multiplicities=tuple(multiplicities), sector_index=j)
 
 
 def sector_index(sectors: Sequence[BoxElement], sector: BoxElement) -> int:
     """Position of a twisted sector in the canonical sector list, by bisection."""
-    key = (sector.rig, sector.torsion)
+    return _bisect_sectors(sectors, (sector.rig, sector.torsion))
+
+
+def _bisect_sectors(sectors: Sequence[BoxElement], key: tuple[IntVec, tuple[int, ...]]) -> int:
+    # the position of the sector whose (rig, torsion) is key
     j = bisect_left(sectors, key, key=lambda s: (s.rig, s.torsion))
     if j < len(sectors) and (sectors[j].rig, sectors[j].torsion) == key:
         return j

@@ -422,6 +422,40 @@ def test_one_ps_class_zero():
     assert cls.ray_multiplicities == (0, 0, 0)
 
 
+def test_one_ps_class_takes_its_sector_from_the_list():
+    # a twisted q(b) is the caller's sector element itself; the untwisted
+    # one is built, with no coefficients
+    rng = random.Random(24)
+    fans = all_fixture_fans()
+    fans += [beta_variant(fans[k % len(fans)], rng) for k in range(14)]
+    twisted = 0
+    for fan in fans:
+        sectors, spaces, _ = _pipeline(fan)
+        for _ in range(20):
+            cls = one_ps_class(fan, sectors, spaces, random_n_element(fan, rng))
+            if cls.sector_index is None:
+                assert cls.sector.is_untwisted and cls.sector.coeffs == ()
+            else:
+                assert cls.sector is sectors[cls.sector_index]
+                twisted += 1
+        for j, sector in enumerate(sectors):
+            assert one_ps_class(fan, sectors, spaces, sector.as_n_element()).sector is sectors[j]
+    assert twisted > 0
+
+
+def test_one_ps_class_raises_on_a_sector_list_without_q():
+    # q(-3) of the football is its one twisted sector, rig (-1,)
+    fan = fixture_fan("football")
+    sectors, spaces, _ = _pipeline(fan)
+    assert [s.rig for s in sectors] == [(-1,)]
+    with pytest.raises(KeyError, match=re.escape(
+            "sector ((-1,), ()) missing from the canonical list; "
+            "box enumeration and q disagree")):
+        one_ps_class(fan, (), spaces, NElement((-3,)))
+    # an untwisted q needs no list
+    assert one_ps_class(fan, (), spaces, NElement((5,))).sector_index is None
+
+
 def test_mov_cone_football():
     fan = fixture_fan("football")
     _, spaces, xi = _pipeline(fan)
