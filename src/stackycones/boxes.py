@@ -7,8 +7,6 @@ a_rho(y) >= 0 supported on the rays of the minimal cone containing y.  In
 the integer chart (m, m B^-1) of a full-dimensional maximal cone with ray
 matrix B (fan.charts, built once per fan), y lies in the cone iff
 c = m B^-1 y >= 0; then a(y) = c / m, and q takes the residues c mod m.
-The cone is located by walking from cone to cone across the ridges of
-fan.ridges, each step crossing a facet whose coordinate of c is negative.
 Box elements are the y with every a_rho(y) < 1, crossed with the torsion
 part of the group.  Those of one cone represent the group Z^d / B Z^d of
 order |det B|, walked in the same chart (Borisov, Chen and Smith, "The
@@ -63,41 +61,12 @@ class BoxElement:
 
 
 def _locate(fan: StackyFan, y: Sequence[int]) -> tuple[tuple[int, ...], list[int], int]:
-    """(cone, c, m) for a maximal cone that contains y: with (m, m B^-1) its
-    chart in fan.charts, c = m B^-1 y >= 0, so y has the coefficients c / m
-    on the cone's rays.  The cone is found by a visibility walk on the ridge
-    table fan.ridges (Devillers, Pion and Teillaud, "Walking in a
-    triangulation", 2002): from the first maximal cone, while some c_p < 0
-    (the least), y lies beyond the facet opposite ray p, so cross that ridge
-    to the cone on its other side.  On P^1^k it evaluates at most k + 1
-    charts.  A walk that revisits a cone or meets a ridge without exactly one
-    other holder gives way to _scan, so it always ends, and y in no maximal
-    cone raises IncompleteFanError."""
+    """(cone, c, m) for the first maximal cone, in input order, that contains
+    y: with (m, m B^-1) its chart in fan.charts, c = m B^-1 y >= 0, so y has
+    the coefficients c / m on the cone's rays."""
     y = tuple(y)
     if len(y) != fan.dim:
         raise ValueError(f"point has length {len(y)}, fan has dimension {fan.dim}")
-    cones, charts, ridges = fan.max_cones, fan.charts, fan.ridges
-    if not (charts and charts[0]):
-        return _scan(fan, y)
-    k, seen = 0, set()
-    while k not in seen:
-        seen.add(k)
-        m, rows = charts[k]
-        c = [sum(map(mul, row, y)) for row in rows]
-        low = min(c, default=0)
-        if low >= 0:
-            return cones[k], c, m
-        p = c.index(low)
-        holders = ridges[frozenset(cones[k][:p] + cones[k][p + 1:])]
-        if len(holders) != 2:
-            break
-        (a, _), (b, _) = holders
-        k = b if a == k else a
-    return _scan(fan, y)
-
-
-def _scan(fan: StackyFan, y: IntVec) -> tuple[tuple[int, ...], list[int], int]:
-    # _locate's fallback: the first maximal cone, in input order, containing y
     for cone, chart in zip(fan.max_cones, fan.charts):
         if chart is not None:
             m, rows = chart
@@ -115,9 +84,9 @@ def _coeffs(cone: Sequence[int], c: Sequence[int], m: int, fractions: dict) -> C
 
 def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> Coeffs:
     """Coefficients of y on the rays of its minimal cone: c / m in the chart of
-    the maximal cone _locate finds, positive entries only.  The result is
-    independent of which containing cone was hit because the minimal-cone
-    expression is unique."""
+    the first maximal cone containing y, positive entries only.  The result
+    is independent of which containing cone was hit because the
+    minimal-cone expression is unique."""
     return _coeffs(*_locate(fan, y), {})
 
 

@@ -1,7 +1,6 @@
 """Stacky fan input model: a complete simplicial fan together with the map
-beta from the ray lattice into N = Z^d x prod Z/l_i and the tables of its
-maximal cones' charts and ridges (built once, read by every stage), plus
-validation.
+beta from the ray lattice into N = Z^d x prod Z/l_i and the table of its
+maximal cones' charts (built once, read by every stage), plus validation.
 
 Rays are identified with their beta images: the geometric ray of index rho
 is the half-line spanned by the free part of beta(v_rho), so the condition
@@ -90,9 +89,7 @@ class RayData:
 @dataclass(frozen=True)
 class StackyFan:
     """A stacky fan: the group spec, beta(v_rho) per ray, and the maximal
-    cones of the simplicial fan as sets of ray indices.  Two tables derived
-    from them are built once, on first read: ``charts`` and ``ridges``, which
-    validate's certificate and point location (boxes._locate) share."""
+    cones of the simplicial fan as sets of ray indices."""
 
     group: AbelianGroupSpec
     rays: tuple[NElement, ...]
@@ -141,21 +138,6 @@ class StackyFan:
         return tuple([linalg.cone_inverse([self.rays[i].free for i in cone])
                       if len(cone) == self.dim else None for cone in self.max_cones])
 
-    @cached_property
-    def ridges(self) -> dict[frozenset, list[tuple[int, int]]]:
-        """Per ridge of a charted maximal cone (its rays less one, a frozenset
-        of ray indices): the (k, p) pairs of the cones that hold it, in input
-        order, with p the position in max_cones[k] of the ray it drops, so
-        charts[k][1][p] is the facet's inner normal.  A ridge of a complete
-        fan has two holders, on opposite sides of it."""
-        table: dict[frozenset, list[tuple[int, int]]] = {}
-        for k, (cone, chart) in enumerate(zip(self.max_cones, self.charts)):
-            if chart is not None:
-                position, rays = {i: p for p, i in enumerate(cone)}, frozenset(cone)
-                for drop in rays:
-                    table.setdefault(rays - {drop}, []).append((k, position[drop]))
-        return table
-
 
 def ray_data(fan: StackyFan) -> tuple[RayData, ...]:
     """Per-ray (b_rig, w, c, torsion) with b_rig = c * w, w primitive."""
@@ -199,7 +181,7 @@ def validate(fan: StackyFan) -> ValidationReport:
     of maximal cones are common faces, (d) completeness, (e) finite cokernel
     of beta.  Each full-dimensional maximal cone's chart (fan.charts, one
     integer elimination) decides (b) and gives the cone's facet normals.  (d)
-    is certified from the ridge table fan.ridges (De Loera, Rambau and Santos,
+    is certified from the ridges (De Loera, Rambau and Santos,
     "Triangulations", 2010, 4.5): if each ridge lies in exactly two maximal
     cones, on opposite sides of it (the sign of one facet normal), the cones
     cover every generic point k >= 1 times.  One generic point gives k; k = 1
@@ -294,9 +276,8 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
 
 
 def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
-    """The completeness check, from the ridge table fan.ridges and the facet
-    normals in fan.charts, and how many maximal cones contain one generic
-    point (0 unless the ridges certify)."""
+    """The completeness check, from the facet normals in fan.charts, and how
+    many maximal cones contain one generic point (0 unless the ridges certify)."""
     d = fan.dim
     if not fan.max_cones:
         return CheckResult("complete", False, "no maximal cones"), 0
@@ -311,13 +292,17 @@ def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
     if not problems:
         # every ridge (facet of a maximal cone) must lie in exactly two maximal
         # cones, with apexes on opposite sides: its normal in one is < 0 on the other
-        ridges = fan.ridges
+        ridges: dict[frozenset, list[tuple[list[int], IntVec]]] = {}
+        for cone, (_, hs) in zip(fan.max_cones, fan.charts):
+            facets, cs = dict(zip(cone, hs)), frozenset(cone)
+            for drop in cs:
+                ridges.setdefault(cs - {drop}, []).append((facets[drop], fan.rays[drop].free))
         bad_ridges = {tuple(sorted(r)): len(a) for r, a in ridges.items() if len(a) != 2}
         if bad_ridges:
             problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
         one_sided = [] if bad_ridges else [
-            tuple(sorted(r)) for r, ((k, p), (l, q)) in ridges.items()
-            if sum(map(mul, fan.charts[k][1][p], fan.rays[fan.max_cones[l][q]].free)) > 0]
+            tuple(sorted(r)) for r, ((h, _), (_, b)) in ridges.items()
+            if sum(map(mul, h, b)) > 0]
         if one_sided:
             problems.append(f"ridges whose two cones lie on one side: {one_sided}")
 
@@ -326,8 +311,7 @@ def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
         # a moment-curve point (1, s, s^2, ...) off every ridge's hyperplane;
         # the curve lies in no hyperplane, so only finitely many s fail
         curve = (tuple(s ** j for j in range(d)) for s in itertools.count(2))
-        normals = [fan.charts[k][1][p] for (k, p), _ in ridges.values()]
-        point = next(x for x in curve if all(sum(map(mul, h, x)) for h in normals))
+        point = next(p for p in curve if all(sum(map(mul, h, p)) for (h, _), _ in ridges.values()))
         covers = sum(all(sum(map(mul, h, point)) >= 0 for h in hs) for _, hs in fan.charts)
         if d == 0 and covers > 1:  # no ridges glue them, and {0} is one cone
             problems.append(f"{covers} maximal cones in rank 0")

@@ -188,10 +188,9 @@ def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
     """Class vector sum_rho a_rho(b) bb_rho + v_{q(b)} together with its
     decomposition data (floor multiplicities per ray, sector via q).
 
-    One walk on the ridge table locates b (boxes._locate); its chart
-    coordinates give both a(b) and q(b)'s box point.  A twisted q(b) is the
-    element of ``sectors`` itself, found by bisection; only the untwisted
-    sector is built here."""
+    One chart of a maximal cone containing b (boxes._locate) gives both a(b)
+    and q(b)'s box point.  A twisted q(b) is the element of ``sectors``
+    itself, found by sector_index; only the untwisted sector is built here."""
     b = b.reduced(fan.group)
     cone, c, m = _locate(fan, b.free)
     _, rig = _box_point(fan, cone, c, m)
@@ -201,23 +200,18 @@ def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
         if x:
             v[i] = Fraction(x * spaces.ray_cs[i], m)
             multiplicities[i] = x // m
-    if any(rig) or any(b.torsion):
-        j = _bisect_sectors(sectors, (rig, b.torsion))
+    sector, j = BoxElement(rig, b.torsion, ()), None
+    if not sector.is_untwisted:
+        j = sector_index(sectors, sector)
         sector = sectors[j]
         v[spaces.n + j] = Fraction(1)
-    else:
-        j, sector = None, BoxElement(rig, b.torsion, ())
     return OnePSClass(b=b, class_vector=tuple(v), sector=sector,
                       ray_multiplicities=tuple(multiplicities), sector_index=j)
 
 
 def sector_index(sectors: Sequence[BoxElement], sector: BoxElement) -> int:
     """Position of a twisted sector in the canonical sector list, by bisection."""
-    return _bisect_sectors(sectors, (sector.rig, sector.torsion))
-
-
-def _bisect_sectors(sectors: Sequence[BoxElement], key: tuple[IntVec, tuple[int, ...]]) -> int:
-    # the position of the sector whose (rig, torsion) is key
+    key = (sector.rig, sector.torsion)
     j = bisect_left(sectors, key, key=lambda s: (s.rig, s.torsion))
     if j < len(sectors) and (sectors[j].rig, sectors[j].torsion) == key:
         return j

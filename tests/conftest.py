@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from stackycones import (AbelianGroupSpec, NElement, StackyFan, boxes, cli, cones,
-                         linalg, load_fan, orbcones)
+from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
+                         load_fan, orbcones)
 from stackycones.cones import Cone, intersect
 from stackycones.fan import CheckResult, ValidationReport, ray_data
 
@@ -117,16 +117,6 @@ def polygon_fan(rng: random.Random, kind: str, m: int) -> StackyFan:
     return StackyFan(AbelianGroupSpec(3), tuple(NElement(v) for v in rays),
                      tuple((i, (i + 1) % m, m + s) for i in range(m) for s in (0, 1)),
                      name=f"prism{m}")
-
-
-def orthant_fan(k: int) -> StackyFan:
-    """P^1^k: e_i at ray index 2i, -e_i at 2i + 1, and its 2^k orthants,
-    the all-positive one first and the all-negative one last."""
-    rays = [tuple(s if j == i else 0 for j in range(k)) for i in range(k) for s in (1, -1)]
-    cones = [tuple(2 * i + s for i, s in enumerate(signs))
-             for signs in itertools.product((0, 1), repeat=k)]
-    return StackyFan(AbelianGroupSpec(k), tuple(NElement(v) for v in rays), tuple(cones),
-                     name=f"p1^{k}")
 
 
 def weighted_projective_fan(w) -> StackyFan:
@@ -324,86 +314,6 @@ def coeffs_in_cone(fan: StackyFan, cone, y):
     rows = tuple(zip(*(fan.rays[i].free for i in cone)))
     sol = fraction_solve(rows, [(a,) for a in y])
     return None if sol is None or any(a < 0 for a, in sol) else tuple(a for a, in sol)
-
-
-def scan_locate(fan: StackyFan, y) -> tuple:
-    """Point location as a scan over fan.charts: (cone, c, m) for the first
-    maximal cone, in input order, whose chart puts y at c = m B^-1 y >= 0.
-    The oracle of boxes._locate's walk on the ridge table."""
-    y = tuple(y)
-    for cone, chart in zip(fan.max_cones, fan.charts):
-        if chart is not None:
-            m, rows = chart
-            c = [sum(map(mul, row, y)) for row in rows]
-            if all(x >= 0 for x in c):
-                return cone, c, m
-    raise boxes.IncompleteFanError(f"fan not complete at {y}: no maximal cone contains it")
-
-
-def scan_minimal_cone_coeffs(fan: StackyFan, y) -> tuple:
-    """boxes.minimal_cone_coeffs on the cone scan_locate finds."""
-    return boxes._coeffs(*scan_locate(fan, y), {})
-
-
-def scan_q_reduce(fan: StackyFan, b: NElement):
-    """boxes.q_reduce on the cone scan_locate finds."""
-    return boxes._reduce(fan, b, *scan_locate(fan, b.free))
-
-
-def scan_one_ps_class(fan: StackyFan, sectors, spaces, b: NElement):
-    """orbcones.one_ps_class as a scan and a rebuild: b's cone by
-    scan_locate, and q(b) built anew by boxes._reduce, then looked up in
-    sectors by key."""
-    b = b.reduced(fan.group)
-    cone, c, m = scan_locate(fan, b.free)
-    sector = boxes._reduce(fan, b, cone, c, m)
-    v = [Fraction(0)] * (spaces.n + spaces.t)
-    multiplicities = [0] * spaces.n
-    for i, x in zip(cone, c):
-        v[i] = Fraction(x * spaces.ray_cs[i], m)
-        multiplicities[i] = x // m
-    j = None if sector.is_untwisted else orbcones.sector_index(sectors, sector)
-    if j is not None:
-        v[spaces.n + j] = Fraction(1)
-    return orbcones.OnePSClass(b=b, class_vector=tuple(v), sector=sector,
-                               ray_multiplicities=tuple(multiplicities), sector_index=j)
-
-
-def ridge_certificate_oracle(fan: StackyFan) -> tuple[CheckResult, int]:
-    """fan._completeness_check with a ridge map of its own, built from the
-    cones' charts on each call, as it was before fan.ridges was shared."""
-    d = fan.dim
-    if not fan.max_cones:
-        return CheckResult("complete", False, "no maximal cones"), 0
-    problems: list[str] = []
-    impure = [c for c in fan.max_cones if len(c) != d]
-    if impure:
-        problems.append(f"maximal cones not of dimension {d}: {impure}")
-    unused = sorted(set(range(fan.n_rays)).difference(*fan.max_cones))
-    if unused:
-        problems.append(f"rays in no maximal cone: {unused}")
-    if not problems:
-        ridges: dict[frozenset, list] = {}
-        for cone, (_, hs) in zip(fan.max_cones, fan.charts):
-            facets, cs = dict(zip(cone, hs)), frozenset(cone)
-            for drop in cs:
-                ridges.setdefault(cs - {drop}, []).append((facets[drop], fan.rays[drop].free))
-        bad_ridges = {tuple(sorted(r)): len(a) for r, a in ridges.items() if len(a) != 2}
-        if bad_ridges:
-            problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
-        one_sided = [] if bad_ridges else [
-            tuple(sorted(r)) for r, ((h, _), (_, b)) in ridges.items()
-            if sum(map(mul, h, b)) > 0]
-        if one_sided:
-            problems.append(f"ridges whose two cones lie on one side: {one_sided}")
-    covers = 0
-    if not problems:
-        curve = (tuple(s ** j for j in range(d)) for s in itertools.count(2))
-        point = next(p for p in curve if all(sum(map(mul, h, p)) for (h, _), _ in ridges.values()))
-        covers = sum(all(sum(map(mul, h, point)) >= 0 for h in hs) for _, hs in fan.charts)
-        if d == 0 and covers > 1:
-            problems.append(f"{covers} maximal cones in rank 0")
-    return CheckResult("complete", not problems, "; ".join(problems)), covers
 
 
 def acoeffs_from_pairs(pairs) -> tuple:

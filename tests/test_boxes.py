@@ -1,4 +1,3 @@
-import functools
 import io
 import itertools
 import json
@@ -19,13 +18,8 @@ from conftest import (
     coeffs_in_cone,
     fixture_fan,
     fraction_solve,
-    orthant_fan,
     polygon_fan,
     random_n_element,
-    scan_locate,
-    scan_minimal_cone_coeffs,
-    scan_one_ps_class,
-    scan_q_reduce,
     weighted_projective_fan,
 )
 
@@ -44,7 +38,7 @@ from stackycones.boxes import (
     twisted_sectors,
 )
 from stackycones.cli import main
-from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
+from stackycones.fan import AbelianGroupSpec, NElement, StackyFan
 from stackycones.fanfile import fan_to_dict
 from stackycones.linalg import det, mat_vec, unit_vector
 from stackycones.neron_severi import build_spaces
@@ -376,153 +370,6 @@ def test_chart_route_matches_the_rational_oracle(fan_points):
         assert tuple(x - y for x, y in zip(b.free, reduced.rig)) == tuple(
             sum(math.floor(a) * fan.rays[i].free[j] for i, a in zip(cone, sol))
             for j in range(fan.dim))
-
-
-def _assert_walk_matches_scan(fan, points):
-    # minimal_cone_coeffs, q_reduce and one_ps_class, located by the walk,
-    # equal them located by the scan of fan.charts (one_ps_class: with q(b)
-    # rebuilt, too); the coefficients live on the minimal cone, so any
-    # containing cone gives them
-    sectors = twisted_sectors(fan)
-    spaces = build_spaces(fan, sectors)
-    for b in points:
-        assert minimal_cone_coeffs(fan, b.free) == scan_minimal_cone_coeffs(fan, b.free), b
-        assert q_reduce(fan, b) == scan_q_reduce(fan, b), b
-        assert one_ps_class(fan, sectors, spaces, b) == scan_one_ps_class(
-            fan, sectors, spaces, b), b
-
-
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_walk_matches_the_scan_on_fixtures(name):
-    fan = fixture_fan(name)
-    rng = random.Random(name)
-    points = [NElement(y, tuple(rng.randrange(l) for l in fan.group.torsion_orders))
-              for y in itertools.product(range(-4, 5), repeat=fan.dim)]
-    _assert_walk_matches_scan(fan, points + [NElement(r.free, r.torsion) for r in fan.rays])
-
-
-@given(_fans_with_points())
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-def test_walk_matches_the_scan_on_beta_variants(fan_points):
-    _assert_walk_matches_scan(*fan_points)
-
-
-class _LocationCounts:
-    # chart evaluations and fallback scans of boxes._locate on a fan of rank d:
-    # an evaluation m B^-1 y makes d * d of boxes' products
-
-    def __init__(self, monkeypatch, d):
-        self.products, self.scans, self.d = 0, 0, d
-        real_mul, real_scan = boxes.mul, boxes._scan
-
-        def counting_mul(a, b):
-            self.products += 1
-            return real_mul(a, b)
-
-        def counting_scan(*args):
-            self.scans += 1
-            return real_scan(*args)
-
-        monkeypatch.setattr(boxes, "mul", counting_mul)
-        monkeypatch.setattr(boxes, "_scan", counting_scan)
-
-    @property
-    def charts(self):
-        assert self.products % (self.d * self.d) == 0
-        return self.products // (self.d * self.d)
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_walk_on_p1_powers_evaluates_at_most_k_plus_1_charts(monkeypatch, k):
-    # from the all-positive orthant each crossing fixes the sign of one
-    # coordinate for good: at most k crossings, and no fallback
-    fan = orthant_fan(k)
-    rng = random.Random(k)
-    points = [NElement(tuple(rng.randint(-3, 3) for _ in range(k))) for _ in range(40)]
-    points.append(NElement((-1,) * k))
-    _assert_walk_matches_scan(fan, points)
-    counts = _LocationCounts(monkeypatch, k)
-    for b in points:
-        before = counts.charts
-        cone, c, m = _locate(fan, b.free)
-        assert counts.charts - before <= k + 1
-        assert cone == tuple(2 * i + (x < 0) for i, x in enumerate(b.free)) or 0 in b.free
-    assert counts.scans == 0
-    assert _locate(fan, (-1,) * k) == (fan.max_cones[-1], [1] * k, 1)
-
-
-def test_walk_falls_back_on_a_cone_listed_twice(monkeypatch):
-    # p2 with (0, 1) listed first as (1, 0): each ridge of the first cone
-    # has three holders, so a point outside it is found by the scan
-    p2 = fixture_fan("p2")
-    fan = StackyFan(p2.group, p2.rays, ((1, 0),) + p2.max_cones, name="p2-twice")
-    assert len(fan.ridges[frozenset((1,))]) == 3
-    points = [NElement(y) for y in itertools.product(range(-3, 4), repeat=2)]
-    _assert_walk_matches_scan(fan, points)
-    counts = _LocationCounts(monkeypatch, 2)
-    for b in points:
-        assert _locate(fan, b.free) == scan_locate(fan, b.free)
-    assert 0 < counts.scans < len(points)
-
-
-def test_walk_falls_back_on_a_cycle(monkeypatch):
-    # a ridge table in which cones 0 and 1 hold every ridge: the walk from
-    # cone 0 to a point of cone 2 goes to cone 1 and back, and the revisit
-    # hands the point to the scan
-    fan = fixture_fan("p2")
-    fan.__dict__["ridges"] = {r: [(0, 0), (1, 0)] for r in fan.ridges}
-    counts = _LocationCounts(monkeypatch, 2)
-    assert _locate(fan, (-1, -2)) == scan_locate(fan, (-1, -2)) == ((0, 2), [1, 2], 1)
-    assert (counts.charts, counts.scans) == (2 + 3, 1)
-    _assert_walk_matches_scan(fan, [NElement(y) for y in itertools.product(range(-3, 4),
-                                                                             repeat=2)])
-
-
-def test_walk_on_an_incomplete_fan_falls_back_and_raises(monkeypatch):
-    # p2 less the cone (0, 2): a ridge with one holder ends the walk, and
-    # the scan finds the point or raises
-    p2 = fixture_fan("p2")
-    fan = StackyFan(p2.group, p2.rays, p2.max_cones[:2], name="p2-less-a-cone")
-    counts = _LocationCounts(monkeypatch, 2)
-    for y in itertools.product(range(-3, 4), repeat=2):
-        try:
-            expected = scan_locate(fan, y)
-        except IncompleteFanError:
-            with pytest.raises(IncompleteFanError, match="fan not complete"):
-                _locate(fan, y)
-            with pytest.raises(IncompleteFanError):
-                q_reduce(fan, NElement(y))
-        else:
-            assert _locate(fan, y) == expected
-            assert minimal_cone_coeffs(fan, y) == scan_minimal_cone_coeffs(fan, y)
-    assert counts.scans > 0
-    # no charted cone at all: the scan raises at once
-    flat = StackyFan(p2.group, p2.rays, ((0,),), name="flat")
-    with pytest.raises(IncompleteFanError):
-        _locate(flat, (1, 1))
-
-
-def test_ridge_table_is_built_once_per_fan(monkeypatch):
-    # validate's certificate and every location share one table
-    built = []
-    real = StackyFan.ridges.func
-
-    def counting(self):
-        built.append(self.name)
-        return real(self)
-
-    table = functools.cached_property(counting)
-    table.__set_name__(StackyFan, "ridges")
-    monkeypatch.setattr(StackyFan, "ridges", table)
-    fan = orthant_fan(4)
-    assert validate(fan).ok
-    sectors = twisted_sectors(fan)
-    spaces = build_spaces(fan, sectors)
-    for y in itertools.product((-2, 0, 3), repeat=4):
-        minimal_cone_coeffs(fan, y)
-        q_reduce(fan, NElement(y))
-        one_ps_class(fan, sectors, spaces, NElement(y))
-    assert built == [fan.name]
 
 
 def _leibniz_det(rows):

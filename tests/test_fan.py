@@ -15,7 +15,6 @@ from conftest import (
     meets_in_a_face,
     pairwise_oracle,
     polygon_rays,
-    ridge_certificate_oracle,
     unseparated_pairs,
 )
 from hypothesis import Phase, assume, example, given, settings
@@ -301,30 +300,6 @@ def _mutated_fan(rng, kind, m, mutation):
         else:  # one cycle around the polygon twice
             cones = ring(list(range(m)) + list(range(n, n + m)))
     return _fan(len(rays[0]), rays, cones)
-
-
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), kind=st.sampled_from(["polygon", "prism"]),
-       mutation=st.sampled_from(MUTATIONS), m=st.integers(3, 12))
-def test_certificate_on_the_shared_ridge_table_matches_its_own_ridge_map(
-        seed, kind, mutation, m):
-    # the certificate reads fan.ridges; with a ridge map of its own, built
-    # per call from the charts, it gives the same check and cover count
-    fan = _mutated_fan(random.Random(seed), kind, m, mutation)
-    assume(all(chart is not None for cone, chart in zip(fan.max_cones, fan.charts)
-               if len(cone) == fan.dim))
-    assert fan_module._completeness_check(fan) == ridge_certificate_oracle(fan)
-
-
-def test_certificate_on_fixtures_and_p1_powers_matches_its_own_ridge_map():
-    # P^1^k whole, less cone 5, and with its first cone listed twice
-    fans = all_fixture_fans()
-    for k in range(3, 9):
-        rays, cones = _orthants(k)
-        fans += [_fan(k, rays, kept) for kept in (cones, cones[:5] + cones[6:],
-                                                  cones[1:] + cones[:1] + cones[:1])]
-    for fan in fans:
-        assert fan_module._completeness_check(fan) == ridge_certificate_oracle(fan)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
