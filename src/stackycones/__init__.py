@@ -29,7 +29,6 @@ from .fanfile import FanFileError, fan_from_dict, fan_to_dict, load_fan
 from .neron_severi import (
     AmbientSpaces,
     build_spaces,
-    curve_class_from_v_orb,
     eta_labels,
     lambda_orb,
     ray_divisor_classes,

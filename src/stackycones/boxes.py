@@ -99,17 +99,13 @@ def _box_point(fan: StackyFan, cone: Sequence[int], c: Sequence[int], m: int
     return r, tuple([sum(map(mul, row, r)) // m for row in rows])
 
 
-def _reduce(fan: StackyFan, b: NElement, cone: Sequence[int], c: list[int], m: int) -> BoxElement:
-    # q(b) from the chart coordinates c of b.free, with its coefficients r / m
-    r, point = _box_point(fan, cone, c, m)
-    return BoxElement(rig=point, torsion=fan.group.reduce_torsion(b.torsion),
-                      coeffs=_coeffs(cone, r, m, {}))
-
-
 def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
     """Reduce an element of N to its box element: the fractional parts of the
     free part's coefficients, c mod m in its chart; torsion passes through."""
-    return _reduce(fan, b, *_locate(fan, b.free))
+    cone, c, m = _locate(fan, b.free)
+    r, point = _box_point(fan, cone, c, m)
+    return BoxElement(rig=point, torsion=fan.group.reduce_torsion(b.torsion),
+                      coeffs=_coeffs(cone, r, m, {}))
 
 
 def _cone_group(fan: StackyFan, k: int, walked: int = 0

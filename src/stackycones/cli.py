@@ -184,14 +184,14 @@ def cmd_ns(analysis: Analysis, as_json: bool) -> Rendered:
 
 
 def cmd_xi(analysis: Analysis, as_json: bool) -> Rendered:
-    xi = analysis.xi
+    xi, labels = analysis.xi, analysis.spaces.labels
     if as_json:
-        return {"labels": list(xi.labels),
+        return {"labels": list(labels),
                 "xi": [_rat_vec_json(v) for v in xi.xi],
                 "xi_star": [_rat_vec_json(v) for v in xi.xi_star],
                 "dual_basis_ok": True}, EXIT_OK
-    lines = [f"Xi[{label}] = {_fmt_vec(v)}" for label, v in zip(xi.labels, xi.xi)]
-    lines += [f"Xi*[{label}] = {_fmt_vec(v)}" for label, v in zip(xi.labels, xi.xi_star)]
+    lines = [f"Xi[{label}] = {_fmt_vec(v)}" for label, v in zip(labels, xi.xi)]
+    lines += [f"Xi*[{label}] = {_fmt_vec(v)}" for label, v in zip(labels, xi.xi_star)]
     lines.append("dual basis check: PASS")
     return lines, EXIT_OK
 

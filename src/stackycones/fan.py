@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .cones import _dual_generators
-from .linalg import IntVec, primitive, primitive_direction
+from .linalg import IntVec, primitive_direction
 
 
 # validate names the pairs of maximal cones that meet outside a face only up to
@@ -145,9 +145,8 @@ def ray_data(fan: StackyFan) -> tuple[RayData, ...]:
     for i, ray in enumerate(fan.rays):
         if not any(ray.free):
             raise FanStructureError(f"ray {i} has zero free part (degenerate ray)")
-        w, c = primitive(ray.free)
-        out.append(RayData(index=i, b_rig=tuple(ray.free), w=w, c=c,
-                           torsion=ray.torsion))
+        out.append(RayData(index=i, b_rig=tuple(ray.free), w=primitive_direction(ray.free),
+                           c=gcd(*ray.free), torsion=ray.torsion))
     return tuple(out)
 
 

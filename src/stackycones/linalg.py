@@ -57,18 +57,6 @@ def mat_vec(rows: Sequence[Sequence[Number]], x: Sequence[Number]) -> RatVec:
     return tuple(dot(row, x) for row in rows)
 
 
-def primitive(v: Sequence[int]) -> tuple[IntVec, int]:
-    """Split a nonzero integer vector as c * w with w primitive and c > 0.
-
-    Returns (w, c) where c = gcd of the absolute coordinate values.  The
-    direction of v is preserved in w.
-    """
-    if not any(v):
-        raise ValueError("primitive() of the zero vector is undefined")
-    c = gcd(*(abs(a) for a in v))
-    return tuple(a // c for a in v), c
-
-
 def primitive_direction(v: Sequence[Number]) -> IntVec:
     """Scale a nonzero rational vector to the primitive integer vector on
     the same ray (direction preserved), without building a Fraction."""

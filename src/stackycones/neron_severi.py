@@ -125,22 +125,6 @@ def lambda_orb(spaces: AmbientSpaces, u: Sequence[Number]) -> RatVec:
     return tuple([dot(rays, k) for k in spaces.ker_beta_prime]) + tuple(u[n:])
 
 
-def curve_class_from_v_orb(spaces: AmbientSpaces, v: Sequence[Number]) -> RatVec:
-    """Coordinates in the curve basis of a V_orb vector lying in the kernel
-    of beta'_orb; a divisor class pairs with them by a dot product.  Each
-    kernel basis vector k is the only one nonzero at some (free) column j,
-    where v's coordinate on k is v[j] / k[j]; sector coordinates are v's."""
-    n, ker = spaces.n, spaces.ker_beta_prime
-    if len(v) != n + spaces.t:
-        raise ValueError("dimension mismatch")
-    if any(dot(row, v[:n]) != 0 for row in spaces.beta_prime):
-        raise ValueError("vector is not in the kernel of beta'_orb")
-    free = [next(j for j in range(n) if k[j] and sum(1 for o in ker if o[j]) == 1)
-            for k in ker]
-    return tuple([Fraction(v[j], k[j]) for j, k in zip(free, ker)]
-                 + [Fraction(x) for x in v[n:]])
-
-
 def ray_divisor_classes(spaces: AmbientSpaces, rho: int) -> tuple[RatVec, RatVec]:
     """Classes of the coarse and the stacky ray divisor; the first equals
     c_rho times the second."""

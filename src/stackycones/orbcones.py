@@ -72,7 +72,6 @@ class XiSystem:
     as dense rational vectors, each built on first read and kept: the CLI's
     ``xi`` output reads both, the restricted functionals read ``xi_star``."""
 
-    labels: tuple[str, ...]
     xi_rows: tuple[IntRow, ...]
     star_rows: tuple[IntRow, ...]
 
@@ -149,8 +148,7 @@ def build_xi(fan: StackyFan, sectors: Sequence[BoxElement],
         star_rows.append((den, tuple([(k, p * (den // q)) for k, p, q in entries])))
     star_rows += sector_stars
     _check_dual_basis(xi_rows, star_rows)
-    return XiSystem(labels=spaces.labels, xi_rows=tuple(xi_rows),
-                    star_rows=tuple(star_rows))
+    return XiSystem(xi_rows=tuple(xi_rows), star_rows=tuple(star_rows))
 
 
 def _check_dual_basis(xi: Sequence[IntRow], xi_star: Sequence[IntRow]) -> None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from operator import mul
@@ -170,6 +171,33 @@ def test_ray_data_gerby():
     rd = ray_data(fixture_fan("gerby-p1"))
     assert [r.c for r in rd] == [1, 1]
     assert [r.torsion for r in rd] == [(1,), (0,)]
+
+
+def _one_ray(free):
+    # ray_data reads the rays alone, so a fan with no cones will do
+    return StackyFan(AbelianGroupSpec(len(free)), (NElement(tuple(free)),), ())
+
+
+def test_ray_data_splits_free_parts():
+    (r,) = ray_data(_one_ray((2, -4)))
+    assert (r.w, r.c) == ((1, -2), 2)
+    (r,) = ray_data(_one_ray((-6,)))
+    assert (r.w, r.c) == ((-1,), 6)
+
+
+def test_ray_data_rejects_a_zero_free_part():
+    with pytest.raises(FanStructureError, match="zero free part"):
+        ray_data(_one_ray((0, 0)))
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_ray_data_recomposition(coords):
+    assume(any(coords))
+    (r,) = ray_data(_one_ray(coords))
+    assert r.c > 0
+    assert math.gcd(*map(abs, r.w)) == 1
+    assert tuple(r.c * a for a in r.w) == r.b_rig == tuple(coords)
 
 
 def test_validation_is_deterministic():

@@ -15,7 +15,6 @@ from stackycones.linalg import (
     inverse,
     kernel_basis,
     mat_vec,
-    primitive,
     primitive_direction,
     rank,
     rref,
@@ -79,17 +78,6 @@ def test_rank_examples():
     assert rank(((0, 0), (0, 0))) == 0
 
 
-def test_primitive_examples():
-    assert primitive((2, -4)) == ((1, -2), 2)
-    assert primitive((1, 0, 0)) == ((1, 0, 0), 1)
-    assert primitive((-6,)) == ((-1,), 6)
-
-
-def test_primitive_zero_vector():
-    with pytest.raises(ValueError):
-        primitive((0, 0))
-
-
 def test_primitive_direction_rational():
     assert primitive_direction((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
     assert canonical_line_direction((0, Fraction(-1, 3))) == (0, 1)
@@ -135,19 +123,6 @@ def test_kernel_property(rows):
     if basis:
         assert sympy.Matrix(basis).rank() == len(basis)
         assert sympy.Matrix(list(basis) + [tuple(v) for v in null]).rank() == len(basis)
-
-
-@given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6))
-@settings(max_examples=120, deadline=None)
-def test_primitive_recomposition(coords):
-    if not any(coords):
-        with pytest.raises(ValueError):
-            primitive(tuple(coords))
-        return
-    w, c = primitive(tuple(coords))
-    assert c > 0
-    assert gcd(*(abs(a) for a in w)) == 1
-    assert tuple(c * a for a in w) == tuple(coords)
 
 
 def _fraction_primitive_direction(v):

@@ -25,7 +25,7 @@ from conftest import (
 )
 
 from stackycones import linalg, orbcones
-from stackycones.boxes import BoxElement, enumerate_box, twisted_sectors
+from stackycones.boxes import BoxElement, enumerate_box, q_reduce, twisted_sectors
 from stackycones.cones import Cone
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
 from stackycones.fanfile import fan_from_dict
@@ -424,7 +424,7 @@ def test_one_ps_class_zero():
 
 def test_one_ps_class_takes_its_sector_from_the_list():
     # a twisted q(b) is the caller's sector element itself; the untwisted
-    # one is built, with no coefficients
+    # one is built, with no coefficients; either equals q_reduce's
     rng = random.Random(24)
     fans = all_fixture_fans()
     fans += [beta_variant(fans[k % len(fans)], rng) for k in range(14)]
@@ -432,7 +432,9 @@ def test_one_ps_class_takes_its_sector_from_the_list():
     for fan in fans:
         sectors, spaces, _ = _pipeline(fan)
         for _ in range(20):
-            cls = one_ps_class(fan, sectors, spaces, random_n_element(fan, rng))
+            b = random_n_element(fan, rng)
+            cls = one_ps_class(fan, sectors, spaces, b)
+            assert cls.sector == q_reduce(fan, b)
             if cls.sector_index is None:
                 assert cls.sector.is_untwisted and cls.sector.coeffs == ()
             else:
