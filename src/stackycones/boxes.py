@@ -76,10 +76,23 @@ def _locate(fan: StackyFan, y: Sequence[int]) -> tuple[tuple[int, ...], list[int
     raise IncompleteFanError(f"fan not complete at {y}: no maximal cone contains it")
 
 
-def _coeffs(cone: Sequence[int], c: Sequence[int], m: int, fractions: dict) -> Coeffs:
-    # c / m on the cone's rays, positive entries; fractions: (x, m) -> x / m
-    return tuple([(i, fractions.get((x, m)) or fractions.setdefault((x, m), Fraction(x, m)))
-                  for i, x in sorted(zip(cone, c)) if x])
+class _Fractions(dict):
+    # x / m under the key (x, m), each built once, on first use
+    def __missing__(self, key: tuple[int, int]) -> Fraction:
+        value = self[key] = Fraction(*key)
+        return value
+
+
+def _coeffs(rays: Sequence[tuple[int, int]], c: Sequence[int], m: int, fractions: _Fractions
+            ) -> Coeffs:
+    # c / m on a cone's rays, positive entries; rays: the cone's (ray index,
+    # position) pairs, sorted (_ray_order)
+    return tuple([(i, fractions[c[k], m]) for i, k in rays if c[k]])
+
+
+def _ray_order(cone: Sequence[int]) -> list[tuple[int, int]]:
+    # the (ray index, position) pairs of a cone, sorted by ray: _coeffs' order
+    return sorted(zip(cone, range(len(cone))))
 
 
 def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> Coeffs:
@@ -87,7 +100,8 @@ def minimal_cone_coeffs(fan: StackyFan, y: Sequence[int]) -> Coeffs:
     the first maximal cone containing y, positive entries only.  The result
     is independent of which containing cone was hit because the
     minimal-cone expression is unique."""
-    return _coeffs(*_locate(fan, y), {})
+    cone, c, m = _locate(fan, y)
+    return _coeffs(_ray_order(cone), c, m, _Fractions())
 
 
 def _box_point(fan: StackyFan, cone: Sequence[int], c: Sequence[int], m: int
@@ -105,36 +119,40 @@ def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
     cone, c, m = _locate(fan, b.free)
     r, point = _box_point(fan, cone, c, m)
     return BoxElement(rig=point, torsion=fan.group.reduce_torsion(b.torsion),
-                      coeffs=_coeffs(cone, r, m, {}))
+                      coeffs=_coeffs(_ray_order(cone), r, m, _Fractions()))
 
 
-def _cone_group(fan: StackyFan, k: int, walked: int = 0
-                ) -> tuple[int, list[tuple[IntVec, IntVec]]]:
-    # cone_parallelepiped_points' walk of maximal cone k: m and the (point, c)
-    # pairs; stops and raises once walked plus its points pass limit // |torsion|
+def _cone_group(fan: StackyFan, k: int, room: int
+                ) -> tuple[int, list[IntVec], list[IntVec]]:
+    # cone_parallelepiped_points' walk of maximal cone k: m, the elements c and
+    # their points, in one order; raises once the points pass room
     d, cone, chart = fan.dim, fan.max_cones[k], fan.charts[k]
     if len(cone) != d:
         raise ValueError("parallelepiped enumeration needs a full-dimensional cone")
     if chart is None:
         raise ValueError(f"cone {cone} is not simplicial")
     m, adj = chart
-    room = ENUMERATION_LIMIT // prod(fan.group.torsion_orders) - walked
+    if m == 1 and room:  # a unimodular cone: the trivial group, its apex B 0 / 1 = 0
+        apex = (0,) * d
+        return m, [apex], [apex]
     group = {(0,) * d}
-    if m > 1:  # else a unimodular cone: the trivial group, its apex alone
-        for g in zip(*[[x % m for x in row] for row in adj]):
-            # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built
-            # so far, until k g lies in H or the group outgrows the room
-            subgroup, step = list(group), g
-            while step not in group and len(group) <= room:
-                group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
-                step = tuple([(x + y) % m for x, y in zip(step, g)])
+    for g in zip(*[[x % m for x in row] for row in adj]):
+        # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built
+        # so far, until k g lies in H or the group outgrows the room
+        subgroup, step = list(group), g
+        while step not in group and len(group) <= room:
+            group.update([tuple([(x + y) % m for x, y in zip(c, step)]) for c in subgroup])
+            step = tuple([(x + y) % m for x, y in zip(step, g)])
     if len(group) > room:
         raise EnumerationLimitError(f"fan '{fan.name}' is too large to enumerate: over "
                                     f"{ENUMERATION_LIMIT} box elements, counted cone by cone")
-    if m == 1:  # the apex: point B 0 / 1 = 0 = c
-        return m, [(c, c) for c in group]
-    rows = tuple(zip(*[fan.rays[i].free for i in cone]))
-    return m, [(tuple([sum(map(mul, row, c)) // m for row in rows]), c) for c in group]
+    rows, elements = tuple(zip(*[fan.rays[i].free for i in cone])), list(group)
+    return m, elements, [tuple([sum(map(mul, row, c)) // m for row in rows]) for c in elements]
+
+
+def _room(fan: StackyFan) -> int:
+    # the box points a walk may visit: ENUMERATION_LIMIT // |torsion|
+    return ENUMERATION_LIMIT // prod(fan.group.torsion_orders)
 
 
 def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
@@ -153,8 +171,9 @@ def cone_parallelepiped_points(fan: StackyFan, cone: Sequence[int]
     cone = tuple(cone)
     if cone not in fan.max_cones:
         raise ValueError(f"cone {cone} is not a maximal cone of fan '{fan.name}'")
-    m, points = _cone_group(fan, fan.max_cones.index(cone))
-    return [(point, _coeffs(cone, c, m, {})) for point, c in sorted(points)]
+    m, elements, points = _cone_group(fan, fan.max_cones.index(cone), _room(fan))
+    rays, fractions = _ray_order(cone), _Fractions()
+    return [(point, _coeffs(rays, c, m, fractions)) for point, c in sorted(zip(points, elements))]
 
 
 def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
@@ -170,19 +189,18 @@ def enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     EnumerationLimitError once the walks, of |det B| points each, pass
     ENUMERATION_LIMIT // |torsion| in all: iff sum |det B| |torsion| > limit.
     """
-    kept: dict[IntVec, tuple] = {}
-    walked = 0
+    kept: dict[IntVec, Coeffs] = {}
+    room, fractions = _room(fan), _Fractions()
     for k, cone in enumerate(fan.max_cones):
-        m, points = _cone_group(fan, k, walked)
-        walked += len(points)
-        for point, c in points:
-            kept.setdefault(point, (cone, c, m))
+        m, elements, points = _cone_group(fan, k, room)
+        room -= len(points)
+        fresh = [(point, c) for point, c in zip(points, elements) if point not in kept]
+        if fresh:  # the cone keeps a point: the origin, or one no earlier cone walked
+            rays = _ray_order(cone)
+            for point, c in fresh:
+                kept[point] = _coeffs(rays, c, m, fractions)
     torsion = tuple(fan.group.torsion_elements())
-    out, fractions = [], {}
-    for rig in sorted(kept):
-        coeffs = _coeffs(*kept[rig], fractions)
-        out.extend([BoxElement(rig, t, coeffs) for t in torsion])
-    return tuple(out)
+    return tuple([BoxElement(rig, t, kept[rig]) for rig in sorted(kept) for t in torsion])
 
 
 def twisted_sectors(fan: StackyFan) -> tuple[BoxElement, ...]:

@@ -188,13 +188,16 @@ def validate(fan: StackyFan) -> ValidationReport:
     cones overlap) and a pass over the pairs names the culprits; past
     PAIRWISE_LIMIT pairs (c) fails unchecked.  A pair that a facet hyperplane
     separates meets in a face (Cox, Little and Schenck, "Toric Varieties",
-    Lemma 1.2.13).  Each facet normal's far side, the used rays it puts on
-    or beyond its hyperplane, is one set built once per call, so a pair's
-    test is a set inclusion (_non_face_pairs).  Any other pair is intersected
-    by one double description run on the two cones' inequality rows, made
-    primitive once per cone, with no Cone built; the two meet in a face iff
-    that intersection is the cone on their common rays, so the run's
-    canonical generators must be those rays, primitive and sorted.
+    Lemma 1.2.13).  Each facet normal's near side, the used rays it puts
+    strictly inside its half-space or on it off its cone, is read once per
+    call as a bitmask of the cones holding those rays; the cones outside
+    that mask are the ones the facet separates (_non_face_pairs).  Any other
+    pair is intersected by one double description run on the two cones'
+    inequality rows, made primitive once per cone, with no Cone built; the
+    two meet in a face iff that intersection is the cone on their common
+    rays, so the run's canonical generators must be those rays, primitive
+    and sorted.  The ridge map is keyed by ray bitmasks, and a fan with a
+    chart has a ray matrix of rank d, so (e) needs no elimination then.
     """
     checks: list[CheckResult] = []
     d = fan.dim
@@ -232,7 +235,10 @@ def validate(fan: StackyFan) -> ValidationReport:
                                   "skipped: not simplicial"))
         checks.append(CheckResult("complete", False, "skipped: not simplicial"))
 
-    b_rank = linalg.rank([ray.free for ray in fan.rays]) if fan.rays else 0
+    if any(fan.charts):  # a chart's d rays are independent
+        b_rank = d
+    else:
+        b_rank = linalg.rank([ray.free for ray in fan.rays]) if fan.rays else 0
     checks.append(CheckResult(
         "finite_cokernel", b_rank == d,
         "" if b_rank == d else f"rank of ray matrix is {b_rank}, expected {d}"))
@@ -243,24 +249,37 @@ def validate(fan: StackyFan) -> ValidationReport:
 def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
     """The pairs of maximal cones, in combinations order, that do not meet in
     a common face, on a fan the ridges did not certify and with at most
-    PAIRWISE_LIMIT pairs.  far[k] has one far side per facet normal h of cone
-    k: the used rays j with h.v_j < 0, or = 0 and j in cone k.  If another
-    cone's rays all lie there, the two meet in h's hyperplane, in a face.
-    Any other pair is intersected by cones._dual_generators on the two
-    cones' inequalities: primitive chart rows (x in it iff m B^-1 x >= 0),
-    or with no chart the dual generators of its primitive rays.  Both cones
-    are simplicial, so pointed, and the intersection contains the cone on
-    their common rays, which are independent: the pair meets in a face iff
-    the run returns exactly those rays, primitive and sorted."""
-    rays = [frozenset(cone) for cone in fan.max_cones]
-    used = [(j, fan.rays[j].free) for j in set().union(*rays)]
-    far = [() if chart is None else [
-        frozenset([j for j, v in used if (p := sum(map(mul, h, v))) < 0 or p == 0 and j in cone])
-        for h in chart[1]] for cone, chart in zip(rays, fan.charts)]
+    PAIRWISE_LIMIT pairs.  holders[j] is the int bitmask of the cones that
+    hold ray j.  A facet normal h of cone k has a near side: the ray it drops
+    (h.v = m > 0) and the used rays j outside cone k with h.v_j >= 0, one dot
+    product each.  A cone holding no near ray lies in h's hyperplane or
+    beyond it, so it meets cone k in a face; bit b of separated[k] marks
+    such a cone b.  Any other pair is intersected by cones._dual_generators
+    on the two cones' inequalities: primitive chart rows (x in it iff
+    m B^-1 x >= 0), or with no chart the dual generators of its primitive
+    rays.  Both cones are simplicial, so pointed, and the intersection
+    contains the cone on their common rays, which are independent: the pair
+    meets in a face iff the run returns exactly those rays, primitive and
+    sorted."""
+    n = len(fan.max_cones)
+    holders = [0] * fan.n_rays
+    for b, cone in enumerate(fan.max_cones):
+        for j in cone:
+            holders[j] |= 1 << b
+    used = [(held, fan.rays[j].free) for j, held in enumerate(holders) if held]
+    everyone, separated = (1 << n) - 1, [0] * n
+    for k, (cone, chart) in enumerate(zip(fan.max_cones, fan.charts)):
+        if chart is not None:
+            outside = [(held, v) for held, v in used if not held >> k & 1]
+            for i, h in zip(cone, chart[1]):
+                near = holders[i]  # the cones holding a near ray
+                for held in [held for held, v in outside if sum(map(mul, h, v)) >= 0]:
+                    near |= held
+                separated[k] |= everyone ^ near
     ineqs: dict[int, Sequence[IntVec]] = {}
     bad_pairs = []
-    for a, b in itertools.combinations(range(len(rays)), 2):
-        if any(rays[b] <= s for s in far[a]) or any(rays[a] <= s for s in far[b]):
+    for a, b in itertools.combinations(range(n), 2):
+        if separated[a] >> b & 1 or separated[b] >> a & 1:
             continue
         for k in (a, b):
             if k not in ineqs:
@@ -268,10 +287,16 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
                 ineqs[k] = [primitive_direction(h) for h in chart[1]] if chart else \
                     _dual_generators(fan.dim, [primitive_direction(fan.rays[i].free)
                                                for i in fan.max_cones[k]])
-        face = tuple(sorted([primitive_direction(fan.rays[i].free) for i in rays[a] & rays[b]]))
+        face = tuple(sorted([primitive_direction(fan.rays[i].free)
+                             for i in fan.max_cones[a] if holders[i] >> b & 1]))
         if _dual_generators(fan.dim, [*ineqs[a], *ineqs[b]]) != face:
             bad_pairs.append((fan.max_cones[a], fan.max_cones[b]))
     return bad_pairs
+
+
+def _rays_of(mask: int) -> tuple[int, ...]:
+    """The ray indices of a mask, ascending."""
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
@@ -290,28 +315,32 @@ def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
 
     if not problems:
         # every ridge (facet of a maximal cone) must lie in exactly two maximal
-        # cones, with apexes on opposite sides: its normal in one is < 0 on the other
-        ridges: dict[frozenset, list[tuple[list[int], IntVec]]] = {}
+        # cones, with apexes on opposite sides: its normal in one is < 0 on the
+        # other; a ridge is keyed by its ray mask, its cone's less the dropped
+        # ray, and met in frozenset order, the order the reports list ridges in
+        ridges: dict[int, list[tuple[list[int], IntVec]]] = {}
+        frees = [ray.free for ray in fan.rays]
         for cone, (_, hs) in zip(fan.max_cones, fan.charts):
-            facets, cs = dict(zip(cone, hs)), frozenset(cone)
-            for drop in cs:
-                ridges.setdefault(cs - {drop}, []).append((facets[drop], fan.rays[drop].free))
-        bad_ridges = {tuple(sorted(r)): len(a) for r, a in ridges.items() if len(a) != 2}
+            mask = sum([1 << i for i in cone])  # its rays are distinct
+            for drop in frozenset(cone):
+                ridges.setdefault(mask ^ 1 << drop, []).append((hs[cone.index(drop)], frees[drop]))
+        bad_ridges = {_rays_of(r): len(a) for r, a in ridges.items() if len(a) != 2}
         if bad_ridges:
             problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
         one_sided = [] if bad_ridges else [
-            tuple(sorted(r)) for r, ((h, _), (_, b)) in ridges.items()
+            _rays_of(r) for r, ((h, _), (_, b)) in ridges.items()
             if sum(map(mul, h, b)) > 0]
         if one_sided:
             problems.append(f"ridges whose two cones lie on one side: {one_sided}")
 
     covers = 0
     if not problems:
-        # a moment-curve point (1, s, s^2, ...) off every ridge's hyperplane;
-        # the curve lies in no hyperplane, so only finitely many s fail
-        curve = (tuple(s ** j for j in range(d)) for s in itertools.count(2))
-        point = next(p for p in curve if all(sum(map(mul, h, p)) for (h, _), _ in ridges.values()))
-        covers = sum(all(sum(map(mul, h, point)) >= 0 for h in hs) for _, hs in fan.charts)
+        # a moment-curve point (1, s, s^2, ...) off every ridge's hyperplane:
+        # h.p is a nonzero integer polynomial in s, and by Cauchy's bound its
+        # roots are below 1 + max |h_j|
+        s = 1 + max([abs(x) for (h, _), _ in ridges.values() for x in h], default=0)
+        point = tuple([s ** j for j in range(d)])
+        covers = sum([all([sum(map(mul, h, point)) >= 0 for h in hs]) for _, hs in fan.charts])
         if d == 0 and covers > 1:  # no ridges glue them, and {0} is one cone
             problems.append(f"{covers} maximal cones in rank 0")
     return CheckResult("complete", not problems, "; ".join(problems)), covers

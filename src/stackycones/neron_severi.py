@@ -72,7 +72,9 @@ class AmbientSpaces:
 
 # build_spaces refuses fans with more ray and sector coordinates n + t: the
 # curve basis (built for ns) and the views of Xi hold O((n + t)^2) dense entries; at
-# n + t = 481 `stackycones xi` takes about 0.1 s and 24 MB (1.4 MB of text)
+# n + t = 481 `stackycones xi` takes about 0.1 s and 24 MB (1.4 MB of text), while
+# `xi --json` peaks at about 290 MB max RSS, measured in-process, until its
+# documents are streamed (ROADMAP item 6)
 CLASS_SPACE_LIMIT = 500
 
 

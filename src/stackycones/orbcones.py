@@ -34,7 +34,8 @@ more and checks, by containment in both directions, that the result is the
 cone on the lambda_orb(Xi*_eta).  Both sides are double description runs
 on the same restricted functionals, so the check confirms the engine's
 biduality on each input; it is not an independent route.  Computing Mov by
-circuit enumeration (ROADMAP item 1) would give one that shares no engine.
+circuit enumeration (ROADMAP item 3, route B) would give one that shares no
+engine.
 
 Analysis(fan) holds that chain for one fan, fan -> twisted sectors ->
 class spaces -> Xi/Xi* -> restricted functionals -> the PEff cone, and

@@ -444,6 +444,37 @@ def unseparated_pairs(fan: StackyFan) -> list[tuple[int, int]]:
             and not facet_separates(fan, normals[b], fan.max_cones[b], fan.max_cones[a])]
 
 
+def far_side_non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
+    """fan._non_face_pairs as it was before ray bitmasks, kept as an oracle:
+    far[k] has one frozenset per facet normal h of cone k, the used rays j
+    with h.v_j < 0, or = 0 and j in cone k, and a pair is separated when one
+    cone's rays all lie in a far side of the other.  Every other pair goes to
+    cones._dual_generators, looked up on the module at each call so that a
+    test can record the calls, in combinations order on the same primitive
+    chart rows."""
+    rays = [frozenset(cone) for cone in fan.max_cones]
+    used = [(j, fan.rays[j].free) for j in set().union(*rays)]
+    far = [() if chart is None else [
+        frozenset([j for j, v in used if (p := sum(map(mul, h, v))) < 0 or p == 0 and j in cone])
+        for h in chart[1]] for cone, chart in zip(rays, fan.charts)]
+    ineqs = {}
+    bad_pairs = []
+    for a, b in itertools.combinations(range(len(rays)), 2):
+        if any(rays[b] <= s for s in far[a]) or any(rays[a] <= s for s in far[b]):
+            continue
+        for k in (a, b):
+            if k not in ineqs:
+                chart = fan.charts[k]
+                ineqs[k] = [linalg.primitive_direction(h) for h in chart[1]] if chart else \
+                    cones._dual_generators(fan.dim, [linalg.primitive_direction(fan.rays[i].free)
+                                                     for i in fan.max_cones[k]])
+        face = tuple(sorted([linalg.primitive_direction(fan.rays[i].free)
+                             for i in rays[a] & rays[b]]))
+        if cones._dual_generators(fan.dim, [*ineqs[a], *ineqs[b]]) != face:
+            bad_pairs.append((fan.max_cones[a], fan.max_cones[b]))
+    return bad_pairs
+
+
 def pairwise_oracle(fan: StackyFan) -> CheckResult:
     """fan.validate's pairwise_intersections check on a simplicial fan, the
     way it ran before far-side sets: every unseparated pair intersected by

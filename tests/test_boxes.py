@@ -23,7 +23,7 @@ from conftest import (
     weighted_projective_fan,
 )
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stackycones import boxes, linalg
@@ -299,10 +299,35 @@ def _beta_variants(draw):
                      shape.max_cones, name=shape.name + "-variant")
 
 
+# P^2 with rays 2e_1, 2e_2, -2(e_1 + e_2): each cone's group Z^2 / B Z^2 is
+# Z/2 x Z/2, which no single generator walks
+SCALED_P2 = StackyFan(AbelianGroupSpec(2), tuple(NElement(v) for v in ((2, 0), (0, 2), (-2, -2))),
+                      ((0, 1), (1, 2), (2, 0)), name="2p2")
+
+
+@st.composite
+def _unimodular_heavy_polygons(draw):
+    # a polygon fan over 3..8 of the primitive vectors of [-1, 1]^2 in angular
+    # order, gaps below pi: neighbours among the 8 span unimodular cones, and
+    # a cone that skips one has |det| <= 2; torsion Z/2 sometimes
+    ring = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    picks = draw(st.lists(st.sampled_from(range(8)), min_size=3, max_size=8, unique=True)
+                 .map(sorted).filter(lambda p: all(
+                     (b - a) % 8 < 4 for a, b in zip(p, p[1:] + p[:1]))))
+    orders = draw(st.sampled_from([(), (2,)]))
+    rays = tuple(NElement(ring[i], tuple(draw(st.integers(0, l - 1)) for l in orders))
+                 for i in picks)
+    n = len(rays)
+    return StackyFan(AbelianGroupSpec(2, orders), rays,
+                     tuple((i, (i + 1) % n) for i in range(n)), name="unimodular-heavy")
+
+
 @given(_beta_variants()
        | st.builds(polygon_fan, st.randoms(use_true_random=False),
-                   st.sampled_from(["polygon", "prism"]), st.integers(3, 6)))
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+                   st.sampled_from(["polygon", "prism"]), st.integers(3, 6))
+       | _unimodular_heavy_polygons() | st.just(SCALED_P2))
+@example(SCALED_P2)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
 def test_enumerate_box_matches_rational_scan(fan):
     assert enumerate_box(fan) == _box_oracle(fan)
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from math import prod
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -339,6 +340,24 @@ def test_fan_too_large_to_enumerate_exits_two(tmp_path, name):
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
         assert "too large to enumerate" in err
         assert seconds < 1.0, (command, seconds)
+
+
+def test_refusing_the_far_ray_fan_keeps_memory_small(tmp_path):
+    # the walk checks the room as each coset joins the group, so the refusal
+    # holds about a room's worth (10^5) of elements, a 13 MB tracemalloc
+    # peak, not the 10^6 of the far ray's cones
+    path = tmp_path / "far-ray.json"
+    path.write_text(json.dumps({"name": "far-ray", **HOSTILE_FANS["far-ray"]}))
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["box", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "too large to enumerate" in err.getvalue()
+    assert peak < 32 * 2 ** 20, peak
 
 
 def _torsion_line(tmp_path, order):

@@ -7,11 +7,13 @@ from operator import mul
 import pytest
 from conftest import (
     FIXTURE_NAMES,
+    _count_calls,
     all_fixture_fans,
     battery_validate,
     cone_on_rays,
     counted_dd_runs,
     facet_separates,
+    far_side_non_face_pairs,
     fixture_fan,
     meets_in_a_face,
     pairwise_oracle,
@@ -21,6 +23,7 @@ from conftest import (
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
+from stackycones import cones as cones_module
 from stackycones import fan as fan_module
 from stackycones.cones import Cone, intersect
 from stackycones.fan import (
@@ -537,6 +540,43 @@ def test_each_pairwise_dd_run_gets_the_pairs_primitive_chart_rows(dd_runs, fan):
         assert dim == fan.dim
         assert constraints == [primitive_direction(h) for h in rows]
         assert sorted(set(constraints)) == sorted({primitive_direction(h) for h in rows})
+
+
+def _wide_pair_pass_fans():
+    """Polygons and prisms of 12, 16 and 24 cones under every mutation, and
+    P^1^k less one orthant for k = 3..6: the fans on which validate runs its
+    pair pass (simplicial, and the ridges do not certify them)."""
+    shapes = [("polygon", 12), ("polygon", 16), ("polygon", 24),
+              ("prism", 6), ("prism", 8), ("prism", 12)]
+    fans = [_mutated_fan(random.Random(seed), kind, m, mutation)
+            for seed, (kind, m) in enumerate(shapes) for mutation in MUTATIONS]
+    fans += [_orthants_drop(k) for k in range(3, 7)]
+    return [fan for fan in fans if None not in fan.charts
+            and fan_module._completeness_check(fan)[1] != 1]
+
+
+def test_pair_pass_matches_the_far_side_oracle(monkeypatch):
+    # the bitmask pair pass names the far-side set pass's pairs and makes the
+    # same cones._dual_generators calls, in order and on the same rows; the
+    # pairwise check equals the per-pair facet test with a Cone per cone
+    calls = _count_calls(monkeypatch, cones_module, "_dual_generators")
+    fans, verdicts = _wide_pair_pass_fans(), Counter()
+    for fan in fans:
+        calls.clear()
+        pairs = fan_module._non_face_pairs(fan)
+        ours = list(calls)
+        calls.clear()
+        assert pairs == far_side_non_face_pairs(fan), fan
+        assert ours == calls, fan
+        checks = {c.name: c for c in validate(fan).checks}
+        assert checks["pairwise_intersections"] == pairwise_oracle(fan), fan
+        verdicts[fan.dim, not pairs, bool(ours)] += 1
+    assert len(fans) >= 40, len(fans)
+    # polygons, prisms and products of P^1, with and without DD runs, and
+    # both verdicts, so no branch passes vacuously
+    assert {dim for dim, _, _ in verdicts} == {2, 3, 4, 5, 6}, verdicts
+    assert {(face, run) for _, face, run in verdicts} == {
+        (True, False), (True, True), (False, True)}, verdicts
 
 
 def test_pairwise_pass_stops_past_its_limit(monkeypatch, dd_runs):

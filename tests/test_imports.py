@@ -4,9 +4,12 @@ imports, so a deletion cannot leave a dead import behind.  The package's
 is kept on purpose.  Every module-level private function or class is
 referenced somewhere in the package (of a test module: somewhere in the
 tests) outside its own body, so a deletion cannot leave a dead helper
-behind either."""
+behind either.  And importing the CLI loads a pinned set of modules, so
+import creep fails here before it shows in a process's start-up time."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,32 @@ def test_detects_a_dead_private_def():
                         "class _Gone:\n    pass\n"),
                "b.py": "from .a import _used\nx = _used()\n"}
     assert unreferenced_private_defs(sources) == [("a.py", "_Gone"), ("a.py", "_dead")]
+
+
+# the modules outside the package that its modules import at module level,
+# and the package's own modules, all of which the CLI loads
+STDLIB_IMPORTS = ("__future__", "argparse", "bisect", "dataclasses", "fractions",
+                  "functools", "itertools", "json", "math", "operator", "os",
+                  "pathlib", "sys", "typing")
+PACKAGE_MODULES = {"stackycones", "stackycones.boxes", "stackycones.cli",
+                   "stackycones.cones", "stackycones.fan", "stackycones.fanfile",
+                   "stackycones.linalg", "stackycones.neron_severi",
+                   "stackycones.orbcones"}
+
+
+def modules_added_by(statement: str) -> set[str]:
+    """The modules that one import statement adds to a fresh interpreter:
+    isolated, without site, writing no bytecode, with src on its path."""
+    src = str(Path(stackycones.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+            f"{statement}; print(*sorted(set(sys.modules) - before))")
+    return set(subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                              capture_output=True, text=True, check=True).stdout.split())
+
+
+def test_cli_import_adds_only_the_pinned_modules():
+    # the standard library part is whatever the pinned imports load on this
+    # Python; a new module-level import in src/ that loads more fails here
+    added = modules_added_by("import stackycones.cli")
+    assert {m for m in added if m.partition(".")[0] == "stackycones"} == PACKAGE_MODULES
+    assert added - PACKAGE_MODULES == modules_added_by("import " + ", ".join(STDLIB_IMPORTS))
