@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -125,7 +125,9 @@ def q_reduce(fan: StackyFan, b: NElement) -> BoxElement:
 def _cone_group(fan: StackyFan, k: int, room: int
                 ) -> tuple[int, list[IntVec], list[IntVec]]:
     # cone_parallelepiped_points' walk of maximal cone k: m, the elements c and
-    # their points, in one order; raises once the points pass room
+    # their points, in one order; raises once the points pass room.  The first
+    # generator g's cyclic subgroup {j g mod m : 0 <= j < ord g} is built in one
+    # pass, at most room + 1 elements of it; each later generator adds cosets
     d, cone, chart = fan.dim, fan.max_cones[k], fan.charts[k]
     if len(cone) != d:
         raise ValueError("parallelepiped enumeration needs a full-dimensional cone")
@@ -135,8 +137,10 @@ def _cone_group(fan: StackyFan, k: int, room: int
     if m == 1 and room:  # a unimodular cone: the trivial group, its apex B 0 / 1 = 0
         apex = (0,) * d
         return m, [apex], [apex]
-    group = {(0,) * d}
-    for g in zip(*[[x % m for x in row] for row in adj]):
+    first, *rest = list(zip(*[[x % m for x in row] for row in adj])) or [(0,) * d]
+    group = {tuple([j * x % m for x in first])
+             for j in range(min(m // gcd(m, *first), room + 1))}
+    for g in rest:
         # add the cosets H + k g (k = 1, 2, ...) of the subgroup H built
         # so far, until k g lies in H or the group outgrows the room
         subgroup, step = list(group), g

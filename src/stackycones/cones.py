@@ -19,6 +19,7 @@ chart-less cones, which build no ``Cone``); its output is not normalized again.
 from __future__ import annotations
 
 import operator
+from math import gcd
 from typing import Sequence
 
 from .linalg import (
@@ -60,6 +61,16 @@ def _dedup_primitive(dim: int, vectors: Sequence[Sequence[Number]]) -> tuple[Int
     return tuple(out)
 
 
+def _combination(s: int, v: IntVec, t: int, w: IntVec) -> IntVec:
+    """The primitive vector on s v - t w, for integer vectors, with one gcd;
+    raises ValueError when that is zero, as primitive_direction does."""
+    u = [s * x - t * y for x, y in zip(v, w)]
+    g = gcd(*u)
+    if not g:
+        raise ValueError("zero vector has no direction")
+    return tuple([x // g for x in u])
+
+
 def _halfspace_description(dim: int, constraints: Sequence[IntVec]
                            ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """Extreme description of P = {x : <a, x> >= 0 for all a in constraints}.
@@ -71,7 +82,9 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
     non-trivially the insertion trades one lineality vector for a ray;
     afterwards the usual ray splitting with a combinatorial adjacency test
     applies.  Each ray carries a bitmask over already-inserted constraints
-    recording which are tight at it.
+    recording which are tight at it.  Every new vector (a lineality trade,
+    a ray update, the ray of an adjacent pair) is some s v - t w of primitive
+    integer vectors, made primitive by one gcd (_combination).
 
     The loop's final lineality vectors span the kernel of the constraints,
     and the kernel's canonical basis is read off them with the one
@@ -113,14 +126,12 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
                 if s == 0:
                     new_lin.append(v)
                 else:
-                    new_lin.append(primitive_direction(
-                        tuple(s0 * x - s * y for x, y in zip(v, v0))))
+                    new_lin.append(_combination(s0, v, s, v0))
             new_rays = []
             for r, mask in rays:
                 s = sum(map(mul, a, r))
                 if s != 0:
-                    r = primitive_direction(
-                        tuple(s0 * x - s * y for x, y in zip(r, v0)))
+                    r = _combination(s0, r, s, v0)
                 new_rays.append((r, mask | bit))
             new_rays.append((v0, all_prev))
             lin = new_lin
@@ -149,9 +160,7 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
                         if any(om & z == z and om != mp and om != mm
                                for om in masks_all):
                             continue
-                        w = primitive_direction(
-                            tuple(sp * x - sm * y for x, y in zip(m, p)))
-                        new_rays.append((w, z | bit))
+                        new_rays.append((_combination(sp, m, sm, p), z | bit))
                 dedup: dict[IntVec, int] = {}
                 for r, mask in new_rays:
                     if r not in dedup:
@@ -197,8 +206,10 @@ def _dual_generators(dim: int, constraints: Sequence[IntVec]) -> tuple[IntVec, .
     """Canonical generators of {x : <a, x> >= 0 for all a in constraints}:
     +/- the canonical lineality basis and the reduced extreme rays, sorted,
     primitive and distinct.  The constraints must be primitive integer
-    tuples (repeats are dropped); they are not normalized here."""
-    return _flatten(*_halfspace_description(dim, constraints))
+    tuples (repeats are dropped); they are not normalized here.  With no
+    lineality the rays come back as the run returns them, already sorted."""
+    lineality, rays = _halfspace_description(dim, constraints)
+    return _flatten(lineality, rays) if lineality else rays
 
 
 class Cone:

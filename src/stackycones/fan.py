@@ -189,11 +189,12 @@ def validate(fan: StackyFan) -> ValidationReport:
     PAIRWISE_LIMIT pairs (c) fails unchecked.  A pair that a facet hyperplane
     separates meets in a face (Cox, Little and Schenck, "Toric Varieties",
     Lemma 1.2.13).  Each facet normal's near side, the used rays it puts
-    strictly inside its half-space or on it off its cone, is read once per
-    call as a bitmask of the cones holding those rays; the cones outside
-    that mask are the ones the facet separates (_non_face_pairs).  Any other
-    pair is intersected by one double description run on the two cones'
-    inequality rows, made primitive once per cone, with no Cone built; the
+    strictly inside its half-space or on it off its cone, is read as a
+    bitmask of the cones holding those rays, from one pass over the used
+    rays per facet hyperplane (neighbouring cones share one); the cones
+    outside that mask are the ones the facet separates (_separated).  Any
+    other pair is intersected by one double description run on the two
+    cones' inequality rows, made primitive once per cone, with no Cone built; the
     two meet in a face iff that intersection is the cone on their common
     rays, so the run's canonical generators must be those rays, primitive
     and sorted.  The ridge map is keyed by ray bitmasks, and a fan with a
@@ -250,48 +251,76 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
     """The pairs of maximal cones, in combinations order, that do not meet in
     a common face, on a fan the ridges did not certify and with at most
     PAIRWISE_LIMIT pairs.  holders[j] is the int bitmask of the cones that
-    hold ray j.  A facet normal h of cone k has a near side: the ray it drops
-    (h.v = m > 0) and the used rays j outside cone k with h.v_j >= 0, one dot
-    product each.  A cone holding no near ray lies in h's hyperplane or
-    beyond it, so it meets cone k in a face; bit b of separated[k] marks
-    such a cone b.  Any other pair is intersected by cones._dual_generators
-    on the two cones' inequalities: primitive chart rows (x in it iff
-    m B^-1 x >= 0), or with no chart the dual generators of its primitive
-    rays.  Both cones are simplicial, so pointed, and the intersection
-    contains the cone on their common rays, which are independent: the pair
-    meets in a face iff the run returns exactly those rays, primitive and
-    sorted."""
+    hold ray j, and separated[k] (_separated) marks the cones that a facet
+    hyperplane of cone k separates from it.  Any other pair is intersected by
+    cones._dual_generators on the two cones' inequalities: primitive chart
+    rows (x in it iff m B^-1 x >= 0), or with no chart the dual generators of
+    its primitive rays.  Both cones are simplicial, so pointed, and the
+    intersection contains the cone on their common rays, which are
+    independent: the pair meets in a face iff the run returns exactly those
+    rays, primitive and sorted."""
     n = len(fan.max_cones)
     holders = [0] * fan.n_rays
     for b, cone in enumerate(fan.max_cones):
         for j in cone:
             holders[j] |= 1 << b
-    used = [(held, fan.rays[j].free) for j, held in enumerate(holders) if held]
-    everyone, separated = (1 << n) - 1, [0] * n
-    for k, (cone, chart) in enumerate(zip(fan.max_cones, fan.charts)):
-        if chart is not None:
-            outside = [(held, v) for held, v in used if not held >> k & 1]
-            for i, h in zip(cone, chart[1]):
-                near = holders[i]  # the cones holding a near ray
-                for held in [held for held, v in outside if sum(map(mul, h, v)) >= 0]:
-                    near |= held
-                separated[k] |= everyone ^ near
-    ineqs: dict[int, Sequence[IntVec]] = {}
+    ineqs: dict[int, Sequence[IntVec]] = {
+        k: [primitive_direction(h) for h in chart[1]]
+        for k, chart in enumerate(fan.charts) if chart is not None}
+    separated = _separated(fan, holders, ineqs)
     bad_pairs = []
     for a, b in itertools.combinations(range(n), 2):
         if separated[a] >> b & 1 or separated[b] >> a & 1:
             continue
         for k in (a, b):
             if k not in ineqs:
-                chart = fan.charts[k]
-                ineqs[k] = [primitive_direction(h) for h in chart[1]] if chart else \
-                    _dual_generators(fan.dim, [primitive_direction(fan.rays[i].free)
-                                               for i in fan.max_cones[k]])
+                ineqs[k] = _dual_generators(fan.dim, [primitive_direction(fan.rays[i].free)
+                                                      for i in fan.max_cones[k]])
         face = tuple(sorted([primitive_direction(fan.rays[i].free)
                              for i in fan.max_cones[a] if holders[i] >> b & 1]))
         if _dual_generators(fan.dim, [*ineqs[a], *ineqs[b]]) != face:
             bad_pairs.append((fan.max_cones[a], fan.max_cones[b]))
     return bad_pairs
+
+
+def _separated(fan: StackyFan, holders: Sequence[int], rows: dict[int, Sequence[IntVec]]
+               ) -> list[int]:
+    """Per maximal cone k, the bitmask of the cones that a facet hyperplane of
+    k separates from it: cones holding no ray on the near side of some facet
+    normal h of k, so lying in h's hyperplane or beyond it, and meeting k in
+    a face (Cox, Little and Schenck, Lemma 1.2.13).  rows[k] are cone k's
+    primitive chart rows, one facet normal per ray; holders as in
+    _non_face_pairs.  Neighbouring cones share hyperplanes, so each row is
+    keyed by its hyperplane (the row with its first nonzero coordinate
+    positive), and each hyperplane takes one pass over the used rays: the
+    cones holding a ray strictly on either side, and the holders of the rays
+    on it.  A facet's near side is the side its normal points to (the ray h
+    drops among them) plus the holders of the on-plane rays outside cone k."""
+    everyone, separated = (1 << len(fan.max_cones)) - 1, [0] * len(fan.max_cones)
+    planes: dict[IntVec, list[tuple[int, bool]]] = {}
+    for k, hs in rows.items():
+        for h in hs:
+            up = next(x for x in h if x) > 0
+            planes.setdefault(h if up else tuple([-x for x in h]), []).append((k, up))
+    used = [(held, fan.rays[j].free) for j, held in enumerate(holders) if held]
+    for h, facets in planes.items():
+        above = below = 0
+        on: list[int] = []
+        for held, v in used:
+            p = sum(map(mul, h, v))
+            if p > 0:
+                above |= held
+            elif p < 0:
+                below |= held
+            else:
+                on.append(held)
+        for k, up in facets:
+            near = above if up else below
+            for held in on:
+                if not held >> k & 1:
+                    near |= held
+            separated[k] |= everyone ^ near
+    return separated
 
 
 def _rays_of(mask: int) -> tuple[int, ...]:

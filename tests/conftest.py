@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import mul
@@ -15,6 +16,7 @@ import pytest
 
 from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
                          load_fan, orbcones)
+from stackycones.boxes import twisted_sectors
 from stackycones.cones import Cone, intersect
 from stackycones.fan import CheckResult, ValidationReport, ray_data
 
@@ -126,6 +128,18 @@ def weighted_projective_fan(w) -> StackyFan:
     rays = [linalg.unit_vector(d, i) for i in range(d)] + [tuple(-x for x in w)]
     return StackyFan(AbelianGroupSpec(d), tuple(NElement(v) for v in rays),
                      tuple(itertools.combinations(range(d + 1), d)), name=f"P(1,{w})")
+
+
+def product_fan(f: StackyFan, g: StackyFan) -> StackyFan:
+    """The product stacky fan over N_f x N_g."""
+    group = AbelianGroupSpec(f.dim + g.dim, f.group.torsion_orders + g.group.torsion_orders)
+    rays = ([NElement(r.free + (0,) * g.dim, r.torsion + (0,) * g.group.torsion_rank)
+             for r in f.rays]
+            + [NElement((0,) * f.dim + r.free, (0,) * f.group.torsion_rank + r.torsion)
+               for r in g.rays])
+    cones = tuple(a + tuple(f.n_rays + i for i in b)
+                  for a in f.max_cones for b in g.max_cones)
+    return StackyFan(group, tuple(rays), cones, name=f"{f.name}x{g.name}")
 
 
 def vadd(u, v):
@@ -359,6 +373,29 @@ def tight_set_rays(peff, mov) -> tuple:
                         if not any(rays < other for other in tight.values())))
 
 
+def rank_two_mov_count(fan: StackyFan) -> int:
+    """|Mov| of a valid rank-2 stacky fan, counted with no double description
+    run: the positive circuits of M, whose columns are the ray images b_rho
+    and then the twisted sectors' box points.  That is the zero columns, plus
+    |A||B| over each pair of opposite directions A, B of nonzero columns, plus
+    |A||B||C| over each triple of directions with 0 strictly inside their
+    cone, decided by exact cross-product signs."""
+    assert fan.dim == 2
+    columns = [ray.free for ray in fan.rays] + [e.rig for e in twisted_sectors(fan)]
+    sizes = Counter(linalg.primitive_direction(v) for v in columns if any(v))
+    count = len(columns) - sum(sizes.values())
+    directions = list(sizes)
+    for u, v in itertools.combinations(directions, 2):
+        if u == linalg.vneg(v):
+            count += sizes[u] * sizes[v]
+    for u, v, w in itertools.combinations(directions, 3):
+        signs = {(a[0] * b[1] > a[1] * b[0]) - (a[0] * b[1] < a[1] * b[0])
+                 for a, b in ((u, v), (v, w), (w, u))}
+        if signs in ({1}, {-1}):
+            count += sizes[u] * sizes[v] * sizes[w]
+    return count
+
+
 def cone_on_rays(fan: StackyFan, ray_indices) -> Cone:
     """The Cone generated by the free parts of these rays of the fan."""
     return Cone(fan.dim, [fan.rays[i].free for i in ray_indices])
@@ -448,19 +485,60 @@ def far_side_non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
     """fan._non_face_pairs as it was before ray bitmasks, kept as an oracle:
     far[k] has one frozenset per facet normal h of cone k, the used rays j
     with h.v_j < 0, or = 0 and j in cone k, and a pair is separated when one
-    cone's rays all lie in a far side of the other.  Every other pair goes to
-    cones._dual_generators, looked up on the module at each call so that a
-    test can record the calls, in combinations order on the same primitive
-    chart rows."""
+    cone's rays all lie in a far side of the other.  Every other pair goes
+    through _oracle_pair_pass."""
     rays = [frozenset(cone) for cone in fan.max_cones]
     used = [(j, fan.rays[j].free) for j in set().union(*rays)]
     far = [() if chart is None else [
         frozenset([j for j, v in used if (p := sum(map(mul, h, v))) < 0 or p == 0 and j in cone])
         for h in chart[1]] for cone, chart in zip(rays, fan.charts)]
+    return _oracle_pair_pass(fan, lambda a, b: any(rays[b] <= s for s in far[a])
+                             or any(rays[a] <= s for s in far[b]))
+
+
+def per_facet_separated(fan: StackyFan) -> list[int]:
+    """fan._separated as it was before one pass per facet hyperplane, kept as
+    an oracle: per facet normal h (a chart row) of cone k, one dot product
+    per used ray outside cone k.  Its near side is the cones holding the ray
+    h drops or a ray outside cone k with h.v >= 0, and bit b of
+    separated[k] marks each cone b outside it."""
+    n = len(fan.max_cones)
+    holders = [0] * fan.n_rays
+    for b, cone in enumerate(fan.max_cones):
+        for j in cone:
+            holders[j] |= 1 << b
+    used = [(held, fan.rays[j].free) for j, held in enumerate(holders) if held]
+    everyone, separated = (1 << n) - 1, [0] * n
+    for k, (cone, chart) in enumerate(zip(fan.max_cones, fan.charts)):
+        if chart is not None:
+            outside = [(held, v) for held, v in used if not held >> k & 1]
+            for i, h in zip(cone, chart[1]):
+                near = holders[i]
+                for held, v in outside:
+                    if sum(map(mul, h, v)) >= 0:
+                        near |= held
+                separated[k] |= everyone ^ near
+    return separated
+
+
+def per_facet_non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
+    """fan._non_face_pairs on per_facet_separated's masks."""
+    separated = per_facet_separated(fan)
+    return _oracle_pair_pass(fan, lambda a, b: separated[a] >> b & 1 or separated[b] >> a & 1)
+
+
+def _oracle_pair_pass(fan: StackyFan, is_separated) -> list[tuple[tuple, tuple]]:
+    """The pairs of maximal cones at positions (a, b), in combinations order
+    and not is_separated(a, b), that do not meet in a face: each goes to
+    cones._dual_generators, looked up on the module at each call so that a
+    test can record the calls, on the two cones' primitive chart rows (or,
+    with no chart, the dual generators of its primitive rays), and meets in
+    a face iff the run returns the sorted primitive common rays."""
+    rays = [frozenset(cone) for cone in fan.max_cones]
     ineqs = {}
     bad_pairs = []
     for a, b in itertools.combinations(range(len(rays)), 2):
-        if any(rays[b] <= s for s in far[a]) or any(rays[a] <= s for s in far[b]):
+        if is_separated(a, b):
             continue
         for k in (a, b):
             if k not in ineqs:

@@ -2,8 +2,10 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -443,6 +445,51 @@ def test_the_guard_refuses_exactly_past_the_limit(monkeypatch):
                 assert err.getvalue().count("\n") == 1
 
         check()
+
+
+def _chart_group(fan, k):
+    # the subgroup of (Z/m)^d that cone k's chart columns generate, by brute
+    # force over the coefficients [0, m)^d of those columns
+    m, adj = fan.charts[k]
+    return {tuple(sum(map(operator.mul, row, p)) % m for row in adj)
+            for p in itertools.product(range(m), repeat=fan.dim)}
+
+
+@pytest.mark.parametrize("fan, k, order", [
+    *[(StackyFan(AbelianGroupSpec(1), (NElement((n,)), NElement((-1,))), ((0,), (1,))),
+       0, n) for n in (2, 7, 1000)],
+    (SCALED_P2, 0, 4), (SCALED_P2, 1, 4), (SCALED_P2, 2, 4),
+], ids=["rays-2-and-minus-1", "rays-7-and-minus-1", "rays-1000-and-minus-1",
+        "2p2-cone0", "2p2-cone1", "2p2-cone2"])
+def test_walk_guard_at_the_cyclic_cap(fan, k, order):
+    # the first generator's cyclic subgroup is built at most room + 1 elements
+    # long: the walk refuses at room order - 1 and returns the whole group
+    # at room order and order + 1; on 2p2 the cyclic part is Z/2 of Z/2 x Z/2
+    group = _chart_group(fan, k)
+    assert len(group) == order
+    with pytest.raises(boxes.EnumerationLimitError):
+        boxes._cone_group(fan, k, order - 1)
+    for room in (order, order + 1):
+        m, elements, points = boxes._cone_group(fan, k, room)
+        assert len(elements) == order and set(elements) == group
+        assert sorted(points) == sorted(
+            tuple(sum(map(operator.mul, row, c)) // m for row in zip(*[
+                fan.rays[i].free for i in fan.max_cones[k]])) for c in group)
+
+
+def test_walk_guard_builds_no_more_than_the_room():
+    # a cone of order 2 * 10^5 refused at room 100 allocates a few kB, not
+    # the 10^5-element set an uncapped cyclic subgroup would
+    fan = StackyFan(AbelianGroupSpec(1), (NElement((200000,)), NElement((-1,))),
+                    ((0,), (1,)), "far-p1")
+    tracemalloc.start()
+    try:
+        with pytest.raises(boxes.EnumerationLimitError):
+            boxes._cone_group(fan, 0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 @pytest.mark.parametrize("fan", [

@@ -17,7 +17,10 @@ from conftest import (
     fixture_fan,
     meets_in_a_face,
     pairwise_oracle,
+    per_facet_non_face_pairs,
+    per_facet_separated,
     polygon_rays,
+    product_fan,
     unseparated_pairs,
 )
 from hypothesis import Phase, assume, example, given, settings
@@ -577,6 +580,63 @@ def test_pair_pass_matches_the_far_side_oracle(monkeypatch):
     assert {dim for dim, _, _ in verdicts} == {2, 3, 4, 5, 6}, verdicts
     assert {(face, run) for _, face, run in verdicts} == {
         (True, False), (True, True), (False, True)}, verdicts
+
+
+PRODUCT_FACTORS = (("p1", "p2"), ("football", "hirzebruch-f1"), ("gerby-p1", "p2-c2"),
+                   ("p2", "p2"), ("hirzebruch-f1", "p1xfootball"), ("p2-c2", "hirzebruch-f1"))
+
+
+def _changed_product_fans():
+    """Products of two fixtures, of rank 3 and 4, each with one maximal cone
+    changed: dropped, listed twice, or skewed (as in _orthant_fans, its ray
+    v_p swapped for a new ray v_p - v_q)."""
+    fans = []
+    for seed, names in enumerate(PRODUCT_FACTORS):
+        product = product_fan(*map(fixture_fan, names))
+        rng = random.Random(seed)
+        for change in ("drop", "twice", "skew"):
+            rays, cones = [ray.free for ray in product.rays], list(product.max_cones)
+            k = rng.randrange(len(cones))
+            if change == "drop":
+                cones.pop(k)
+            elif change == "twice":
+                cones.append(cones[k])
+            else:
+                p, q = rng.sample(cones[k], 2)
+                rays.append(tuple(x - y for x, y in zip(rays[p], rays[q])))
+                cones[k] = tuple(len(rays) - 1 if j == p else j for j in cones[k])
+            fans.append(_fan(product.dim, rays, cones))
+    return fans
+
+
+def test_hyperplane_pass_matches_the_per_facet_oracle(monkeypatch):
+    # one pass per facet hyperplane gives the per-facet scan's separated
+    # masks, and the pair pass makes the same cones._dual_generators calls,
+    # in order and on the same rows
+    calls = _count_calls(monkeypatch, cones_module, "_dual_generators")
+    fans, verdicts = _wide_pair_pass_fans() + _changed_product_fans(), Counter()
+    for fan in fans:
+        holders = [sum([1 << b for b, cone in enumerate(fan.max_cones) if j in cone])
+                   for j in range(fan.n_rays)]
+        rows = {k: [primitive_direction(h) for h in chart[1]]
+                for k, chart in enumerate(fan.charts) if chart is not None}
+        assert fan_module._separated(fan, holders, rows) == per_facet_separated(fan), fan
+        calls.clear()
+        pairs = fan_module._non_face_pairs(fan)
+        ours = list(calls)
+        calls.clear()
+        assert pairs == per_facet_non_face_pairs(fan), fan
+        assert ours == calls, fan
+        verdicts[fan.dim, not pairs, bool(ours)] += 1
+    # polygons, prisms, products of two fixtures and of P^1, with and without
+    # DD runs, and both verdicts, so no branch passes vacuously
+    assert {dim for dim, _, _ in verdicts} == {2, 3, 4, 5, 6}, verdicts
+    assert {(face, run) for _, face, run in verdicts} == {
+        (True, False), (True, True), (False, True)}, verdicts
+    # a changed product leaves unseparated pairs: facets of one factor do not
+    # separate cones that differ in both
+    assert {(face, run) for dim, face, run in verdicts if dim in (3, 4)} >= {
+        (True, True), (False, True)}, verdicts
 
 
 def test_pairwise_pass_stops_past_its_limit(monkeypatch, dd_runs):

@@ -17,7 +17,9 @@ from conftest import (
     beta_variant,
     fixture_fan,
     integer_rows,
+    product_fan,
     random_n_element,
+    rank_two_mov_count,
     tight_set_rays,
     vadd,
     vscale,
@@ -229,18 +231,6 @@ def weighted_projective_box_size(w) -> int:
     """|Box(P(1, w))|: the distinct fractions k / w_i in [0, 1), w_0 = 1
     (Coates, Corti, Lee and Tseng, Acta Math. 2009)."""
     return len({Fraction(k, wi) for wi in (1,) + tuple(w) for k in range(wi)})
-
-
-def product_fan(f: StackyFan, g: StackyFan) -> StackyFan:
-    """The product stacky fan over N_f x N_g."""
-    group = AbelianGroupSpec(f.dim + g.dim, f.group.torsion_orders + g.group.torsion_orders)
-    rays = ([NElement(r.free + (0,) * g.dim, r.torsion + (0,) * g.group.torsion_rank)
-             for r in f.rays]
-            + [NElement((0,) * f.dim + r.free, (0,) * f.group.torsion_rank + r.torsion)
-               for r in g.rays])
-    cones = tuple(a + tuple(f.n_rays + i for i in b)
-                  for a in f.max_cones for b in g.max_cones)
-    return StackyFan(group, tuple(rays), cones, name=f"{f.name}x{g.name}")
 
 
 @st.composite
@@ -636,3 +626,30 @@ def test_sector_index_matches_linear_scan():
                 f"sector ({rig}, ()) missing from the canonical list; "
                 "box enumeration and q disagree")):
             sector_index(sectors, BoxElement(rig, (), sectors[0].coeffs))
+
+
+RANK_TWO_FIXTURES = tuple(name for name in FIXTURE_NAMES if fixture_fan(name).dim == 2)
+
+
+def _scaled_p2(k):
+    # P^2 with its rays scaled by k, no torsion: |Mov| grows as k^6
+    return StackyFan(AbelianGroupSpec(2), tuple(NElement(v) for v in ((k, 0), (0, k), (-k, -k))),
+                     ((0, 1), (1, 2), (2, 0)), name=f"{k}p2")
+
+
+@pytest.mark.parametrize("k, rays", [(1, 1), (2, 15), (3, 217), (4, 1726)])
+def test_mov_of_scaled_p2_counts_the_positive_circuits(k, rays):
+    # Mov's rays by DD against a circuit count that shares no engine with it
+    fan = _scaled_p2(k)
+    assert rank_two_mov_count(fan) == rays
+    assert len(Analysis(fan).peff.dual().generators) == rays
+
+
+@given(st.one_of(
+    st.sampled_from(RANK_TWO_FIXTURES).map(fixture_fan),
+    st.builds(lambda name, seed: beta_variant(fixture_fan(name), random.Random(seed),
+                                              max_curve_dim=VERIFY_CURVE_DIM_CAP),
+              st.sampled_from(RANK_TWO_FIXTURES), st.integers(0, 2 ** 32))))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_mov_of_rank_two_fans_counts_the_positive_circuits(fan):
+    assert len(Analysis(fan).peff.dual().generators) == rank_two_mov_count(fan)
