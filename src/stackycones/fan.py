@@ -346,19 +346,20 @@ def _completeness_check(fan: StackyFan) -> tuple[CheckResult, int]:
         # every ridge (facet of a maximal cone) must lie in exactly two maximal
         # cones, with apexes on opposite sides: its normal in one is < 0 on the
         # other; a ridge is keyed by its ray mask, its cone's less the dropped
-        # ray, and met in frozenset order, the order the reports list ridges in
+        # ray, and the reports list ridges sorted by their ray tuples
         ridges: dict[int, list[tuple[list[int], IntVec]]] = {}
         frees = [ray.free for ray in fan.rays]
         for cone, (_, hs) in zip(fan.max_cones, fan.charts):
             mask = sum([1 << i for i in cone])  # its rays are distinct
-            for drop in frozenset(cone):
-                ridges.setdefault(mask ^ 1 << drop, []).append((hs[cone.index(drop)], frees[drop]))
-        bad_ridges = {_rays_of(r): len(a) for r, a in ridges.items() if len(a) != 2}
+            for drop, h in zip(cone, hs):
+                ridges.setdefault(mask ^ 1 << drop, []).append((h, frees[drop]))
+        bad_ridges = dict(sorted([(_rays_of(r), len(a)) for r, a in ridges.items()
+                                  if len(a) != 2]))
         if bad_ridges:
             problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
-        one_sided = [] if bad_ridges else [
+        one_sided = [] if bad_ridges else sorted([
             _rays_of(r) for r, ((h, _), (_, b)) in ridges.items()
-            if sum(map(mul, h, b)) > 0]
+            if sum(map(mul, h, b)) > 0])
         if one_sided:
             problems.append(f"ridges whose two cones lie on one side: {one_sided}")
 

@@ -611,7 +611,8 @@ def _battery_completeness_check(fan: StackyFan) -> CheckResult:
             for drop in cs:
                 ridge = cs - {drop}
                 ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        bad_ridges = {tuple(sorted(r)): k for r, k in ridge_count.items() if k != 2}
+        bad_ridges = dict(sorted([(tuple(sorted(r)), k) for r, k in ridge_count.items()
+                                  if k != 2]))
         if bad_ridges:
             problems.append(f"ridges not shared by exactly 2 cones: {bad_ridges}")
         else:
