@@ -137,7 +137,8 @@ def _cone_group(fan: StackyFan, k: int, room: int
     if m == 1 and room:  # a unimodular cone: the trivial group, its apex B 0 / 1 = 0
         apex = (0,) * d
         return m, [apex], [apex]
-    first, *rest = list(zip(*[[x % m for x in row] for row in adj])) or [(0,) * d]
+    # (in rank 0 there are no columns, and the group is the apex alone)
+    first, *rest = list(zip(*[[x % m for x in row] for row in adj])) or [()]
     group = {tuple([j * x % m for x in first])
              for j in range(min(m // gcd(m, *first), room + 1))}
     for g in rest:

@@ -286,16 +286,13 @@ def _non_face_pairs(fan: StackyFan) -> list[tuple[tuple, tuple]]:
 def _separated(fan: StackyFan, holders: Sequence[int], rows: dict[int, Sequence[IntVec]]
                ) -> list[int]:
     """Per maximal cone k, the bitmask of the cones that a facet hyperplane of
-    k separates from it: cones holding no ray on the near side of some facet
-    normal h of k, so lying in h's hyperplane or beyond it, and meeting k in
-    a face (Cox, Little and Schenck, Lemma 1.2.13).  rows[k] are cone k's
-    primitive chart rows, one facet normal per ray; holders as in
-    _non_face_pairs.  Neighbouring cones share hyperplanes, so each row is
-    keyed by its hyperplane (the row with its first nonzero coordinate
-    positive), and each hyperplane takes one pass over the used rays: the
-    cones holding a ray strictly on either side, and the holders of the rays
-    on it.  A facet's near side is the side its normal points to (the ray h
-    drops among them) plus the holders of the on-plane rays outside cone k."""
+    k separates from it: those holding no ray on the near side of a facet
+    normal of k, rows[k] being cone k's primitive chart rows.  Neighbouring
+    cones share hyperplanes, so each row is keyed by its hyperplane (the row
+    with its first nonzero coordinate positive), and each hyperplane takes
+    one pass over the used rays: the cones holding a ray strictly on either
+    side, and the holders of the rays on it.  A facet's near side is the side
+    its normal points to plus the holders of the on-plane rays outside k."""
     everyone, separated = (1 << len(fan.max_cones)) - 1, [0] * len(fan.max_cones)
     planes: dict[IntVec, list[tuple[int, bool]]] = {}
     for k, hs in rows.items():

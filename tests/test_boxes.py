@@ -459,12 +459,14 @@ def _chart_group(fan, k):
     *[(StackyFan(AbelianGroupSpec(1), (NElement((n,)), NElement((-1,))), ((0,), (1,))),
        0, n) for n in (2, 7, 1000)],
     (SCALED_P2, 0, 4), (SCALED_P2, 1, 4), (SCALED_P2, 2, 4),
+    (StackyFan(AbelianGroupSpec(0), (), ((),)), 0, 1),
 ], ids=["rays-2-and-minus-1", "rays-7-and-minus-1", "rays-1000-and-minus-1",
-        "2p2-cone0", "2p2-cone1", "2p2-cone2"])
+        "2p2-cone0", "2p2-cone1", "2p2-cone2", "rank-0"])
 def test_walk_guard_at_the_cyclic_cap(fan, k, order):
     # the first generator's cyclic subgroup is built at most room + 1 elements
     # long: the walk refuses at room order - 1 and returns the whole group
-    # at room order and order + 1; on 2p2 the cyclic part is Z/2 of Z/2 x Z/2
+    # at room order and order + 1; on 2p2 the cyclic part is Z/2 of Z/2 x Z/2,
+    # and in rank 0 the group is the apex, refused at room 0
     group = _chart_group(fan, k)
     assert len(group) == order
     with pytest.raises(boxes.EnumerationLimitError):
