@@ -56,9 +56,6 @@ class BoxElement:
     def is_untwisted(self) -> bool:
         return not any(self.rig) and not any(self.torsion)
 
-    def as_n_element(self) -> NElement:
-        return NElement(self.rig, self.torsion)
-
 
 def _locate(fan: StackyFan, y: Sequence[int]) -> tuple[tuple[int, ...], list[int], int]:
     """(cone, c, m) for the first maximal cone, in input order, that contains

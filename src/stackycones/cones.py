@@ -5,11 +5,12 @@ deduplicated).  The inequality description is obtained by an incremental
 double description run: the generators of C are inserted one at a time as
 half-space constraints on the dual side, while the dual-side description
 keeps an explicit lineality basis plus extreme rays modulo that lineality.
-The run is integer-only: every intermediate vector is a primitive integer
-vector, and the canonical forms at the end come from the fraction-free
-echelon form of the lineality basis the loop ends with (``linalg._echelon``,
-the package's one Gauss-Jordan elimination), so no ``Fraction`` is built.  Outputs are canonical (primitive generators, lexicographically
-sorted), so they are stable across runs and usable in golden files.
+The run is integer-only: every vector is made primitive by the combination
+step that the package's one Gauss-Jordan elimination also uses
+(``linalg._combination``), and the canonical forms at the end come from that
+elimination (``linalg._echelon``) of the loop's final lineality basis, so no
+``Fraction`` is built.  Outputs are canonical (primitive, sorted generators),
+stable across runs and usable in golden files.
 
 Every run goes through ``_dual_generators``, from :meth:`Cone.dual` or on
 rows a caller has made primitive (``fan.validate``'s pair intersections and
@@ -19,17 +20,15 @@ chart-less cones, which build no ``Cone``); its output is not normalized again.
 from __future__ import annotations
 
 import operator
-from math import gcd
 from typing import Sequence
 
 from .linalg import (
     Number,
     IntVec,
+    _combination,
     _echelon,
-    _eliminate,
     canonical_line_direction,
     dot,
-    is_zero_vec,
     primitive_direction,
     unit_vector,
     vneg,
@@ -52,23 +51,13 @@ def _dedup_primitive(dim: int, vectors: Sequence[Sequence[Number]]) -> tuple[Int
     for v in vectors:
         if len(v) != dim:
             raise ValueError(f"expected vectors of length {dim}, got {len(v)}")
-        if is_zero_vec(v):
+        if not any(v):
             continue
         w = primitive_direction(v)
         if w not in seen:
             seen.add(w)
             out.append(w)
     return tuple(out)
-
-
-def _combination(s: int, v: IntVec, t: int, w: IntVec) -> IntVec:
-    """The primitive vector on s v - t w, for integer vectors, with one gcd;
-    raises ValueError when that is zero, as primitive_direction does."""
-    u = [s * x - t * y for x, y in zip(v, w)]
-    g = gcd(*u)
-    if not g:
-        raise ValueError("zero vector has no direction")
-    return tuple([x // g for x in u])
 
 
 def _halfspace_description(dim: int, constraints: Sequence[IntVec]
@@ -84,7 +73,7 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
     applies.  Each ray carries a bitmask over already-inserted constraints
     recording which are tight at it.  Every new vector (a lineality trade,
     a ray update, the ray of an adjacent pair) is some s v - t w of primitive
-    integer vectors, made primitive by one gcd (_combination).
+    integer vectors, made primitive by one gcd (linalg._combination).
 
     The loop's final lineality vectors span the kernel of the constraints,
     and the kernel's canonical basis is read off them with the one
@@ -189,27 +178,20 @@ def _reduce_mod_lineality(rays: Sequence[IntVec],
     for r in rays:
         for p, row in echelon:
             if r[p]:
-                r = _eliminate(r, row, p)
-        out.append(tuple(r))
+                r = _combination(row[p], r, r[p], row)
+        out.append(r)
     return out
-
-
-def _flatten(lineality: Sequence[IntVec], rays: Sequence[IntVec]) -> tuple[IntVec, ...]:
-    gens = set(rays)
-    for v in lineality:
-        gens.add(v)
-        gens.add(vneg(v))
-    return tuple(sorted(gens))
 
 
 def _dual_generators(dim: int, constraints: Sequence[IntVec]) -> tuple[IntVec, ...]:
     """Canonical generators of {x : <a, x> >= 0 for all a in constraints}:
-    +/- the canonical lineality basis and the reduced extreme rays, sorted,
-    primitive and distinct.  The constraints must be primitive integer
-    tuples (repeats are dropped); they are not normalized here.  With no
-    lineality the rays come back as the run returns them, already sorted."""
+    the reduced extreme rays and +/- the canonical lineality basis, sorted.
+    They are distinct with no set: each reduced ray is zero at the forward
+    pivot columns of the lineality, each lineality vector is not, and the
+    canonical basis vectors and their negatives are all distinct.  The
+    constraints must be primitive integer tuples: only repeats are dropped."""
     lineality, rays = _halfspace_description(dim, constraints)
-    return _flatten(lineality, rays) if lineality else rays
+    return tuple(sorted([*rays, *lineality, *map(vneg, lineality)]))
 
 
 class Cone:

@@ -43,10 +43,6 @@ def vneg(v: Sequence[Number]) -> RatVec:
     return tuple(-a for a in v)
 
 
-def is_zero_vec(v: Sequence[Number]) -> bool:
-    return all(a == 0 for a in v)
-
-
 def unit_vector(dim: int, i: int) -> IntVec:
     v = [0] * dim
     v[i] = 1
@@ -94,18 +90,18 @@ def _int_rows(rows: Sequence[Sequence[Number]]) -> tuple[list[list[int]], int]:
 
 
 def _echelon(rows: Sequence[Sequence[int]], columns: Sequence[int]
-             ) -> list[tuple[int, list[int]]]:
+             ) -> list[tuple[int, Sequence[int]]]:
     """Reduced echelon form of integer rows, fraction-free, taking pivots
     in the given column order.
 
     Returns (pivot column, row) pairs in pivot order: each row is positive
     at its own pivot and zero at every other pivot.  Every row is a
     positive multiple of the corresponding row of the rational reduced
-    echelon form, because elimination (see _eliminate) only scales by
-    positive numbers.
+    echelon form: _combination(q[c], r, r[c], q), q[c] > 0, only scales r
+    by positive numbers.
     """
     rest = [list(r) for r in rows]
-    done: list[tuple[int, list[int]]] = []
+    done: list[tuple[int, Sequence[int]]] = []
     for c in columns:
         if not rest:
             break
@@ -115,20 +111,21 @@ def _echelon(rows: Sequence[Sequence[int]], columns: Sequence[int]
         q = rest.pop(k)
         if q[c] < 0:
             q = [-y for y in q]
-        rest = [_eliminate(r, q, c) if r[c] else r for r in rest]
+        rest = [_combination(q[c], r, r[c], q) if r[c] else r for r in rest]
         rest = [r for r in rest if r is not None]
-        done = [(p, _eliminate(r, q, c) if r[c] else r) for p, r in done]
+        done = [(p, _combination(q[c], r, r[c], q) if r[c] else r) for p, r in done]
         done.append((c, q))
     return done
 
 
-def _eliminate(r: Sequence[int], q: Sequence[int], c: int) -> list[int] | None:
-    """The primitive positive multiple of r - (r[c] / q[c]) * q, for
-    q[c] > 0; None when that is zero."""
-    qc, f = q[c], r[c]
-    v = [qc * x - f * y for x, y in zip(r, q)]
-    g = gcd(*v)
-    return [x // g for x in v] if g else None
+def _combination(s: int, v: Sequence[int], t: int, w: Sequence[int]) -> Optional[IntVec]:
+    """The primitive vector on s v - t w, by one gcd; None when it is zero.
+    Elimination drops a None row.  The DD loop gets none, as it combines two
+    basis vectors, a ray outside the lineality with a lineality vector, or
+    two distinct extreme rays of a pointed cone positively."""
+    u = [s * x - t * y for x, y in zip(v, w)]
+    g = gcd(*u)
+    return tuple([x // g for x in u]) if g else None
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int]:

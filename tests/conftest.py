@@ -348,7 +348,7 @@ def intersect_with_subspace_oracle(cone: Cone, equations) -> Cone:
     for e in equations:
         if len(e) != cone.ambient_dim:
             raise ValueError("equation dimension mismatch")
-        if linalg.is_zero_vec(e):
+        if not any(e):
             continue
         w = linalg.primitive_direction(e)
         constraints.append(w)

@@ -153,7 +153,7 @@ def test_criterion_5_one_ps_decomposition():
                 assert tuple(Fraction(x) for x in cls.class_vector) == \
                     tuple(Fraction(x) for x in xi.xi[i])
             for j, sector in enumerate(sectors):
-                cls = one_ps_class(fan, sectors, spaces, sector.as_n_element())
+                cls = one_ps_class(fan, sectors, spaces, NElement(sector.rig, sector.torsion))
                 assert tuple(Fraction(x) for x in cls.class_vector) == \
                     tuple(Fraction(x) for x in xi.xi[spaces.n + j])
 

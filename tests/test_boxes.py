@@ -163,7 +163,7 @@ def test_parallelepiped_points_satisfy_strict_bounds():
 def test_q_reduce_is_retraction_on_box():
     for fan in all_fixture_fans():
         for element in enumerate_box(fan):
-            again = q_reduce(fan, element.as_n_element())
+            again = q_reduce(fan, NElement(element.rig, element.torsion))
             assert again.rig == element.rig
             assert again.torsion == element.torsion
             assert again.coeffs == element.coeffs

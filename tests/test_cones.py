@@ -266,7 +266,9 @@ def test_dd_output_needs_no_normalization(system):
     # Cone.dual() and fan.validate take the DD run's generators as they come:
     # already sorted, primitive and distinct, on any integer rows
     dim, rows = system
-    gens = cones._flatten(*cones._halfspace_description(dim, rows))
+    gens = cones._dual_generators(dim, rows)
+    lineality, rays = cones._halfspace_description(dim, rows)
+    assert set(gens) == {*rays, *lineality, *map(linalg.vneg, lineality)}
     assert gens == cones._dedup_primitive(dim, gens)
     assert list(gens) == sorted(set(gens))
     assert all(primitive_direction(g) == g for g in gens)

@@ -102,6 +102,76 @@ def test_detects_a_dead_private_def():
     assert unreferenced_private_defs(sources) == [("a.py", "_Gone"), ("a.py", "_dead")]
 
 
+def caller_less_names(sources: dict[str, str]) -> list[str]:
+    """module.name of each public module-level function, and module.Class.name
+    of each non-dunder method, that no statement of any source mentions
+    outside its own body; a mention from inside such a name does not count."""
+    bodies, live = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                bodies[f"{module}.{node.name}"] = node
+                continue
+            rest = [node]
+            if isinstance(node, ast.ClassDef):
+                rest = [*node.decorator_list, *node.bases, *node.keywords]
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                        bodies[f"{module}.{node.name}.{sub.name}"] = sub
+                    else:
+                        rest.append(sub)
+            for sub in rest:
+                live |= _referenced(sub)
+    mentions = {q: _referenced(node) - {node.name} for q, node in bodies.items()}
+    dead = set(bodies)
+    while True:
+        # dead only shrinks: a name is live once a live statement mentions it
+        heard = live.union(*(mentions[q] for q in bodies if q not in dead))
+        now = {q for q, node in bodies.items() if node.name not in heard}
+        if now == dead:
+            return sorted(dead)
+        dead = now
+
+
+TRACER = "perfbench/tracing.py wraps it (SPANNED or COUNTED)"
+CALLER_LESS_KEEPERS = {
+    "boxes.cone_parallelepiped_points": TRACER,
+    "boxes.minimal_cone_coeffs": TRACER,
+    "boxes.q_reduce": TRACER,
+    "cli._Parser.error": "argparse calls it on a usage error",
+    "cones.Cone.equals": TRACER,
+    "cones.Cone.intersect_with_subspace": TRACER,
+    "cones.intersect": TRACER,
+    "fanfile.fan_to_dict": "the fan format's writer",
+    "linalg.det": TRACER,
+    "linalg.inverse": TRACER,
+    "linalg.mat_vec": TRACER,
+    "linalg.rref": TRACER,
+    "linalg.solve_square": TRACER,
+    "orbcones.mov_cone": TRACER,
+}
+
+
+def test_every_caller_less_name_has_a_keeper():
+    # the package's __init__ re-exports, so it calls nothing
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in SOURCES if p.name != "__init__.py"}
+    assert caller_less_names(sources) == sorted(CALLER_LESS_KEEPERS)
+
+
+def test_detects_a_caller_less_name():
+    sources = {"a": ("def used():\n    return helper()\n"
+                     "def helper():\n    return 1\n"
+                     "def dead():\n    return ghost()\n"
+                     "def ghost():\n    return ghost() + dead()\n"
+                     "def _private():\n    return K().go()\n"
+                     "class K:\n    def __init__(self):\n        self.n = 1\n"
+                     "    def go(self):\n        return 1\n"
+                     "    def idle(self):\n        return self.idle()\n"),
+               "b": "from .a import used\nx = used()\n"}
+    assert caller_less_names(sources) == ["a.K.idle", "a.dead", "a.ghost"]
+
+
 # the modules outside the package that its modules import at module level,
 # and the package's own modules, all of which the CLI loads
 STDLIB_IMPORTS = ("__future__", "argparse", "bisect", "dataclasses", "fractions",

@@ -4,10 +4,11 @@ from math import gcd, lcm
 import pytest
 import sympy
 from conftest import fraction_kernel_basis, fraction_rref, fraction_solve
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackycones.linalg import (
+    _combination,
     canonical_line_direction,
     cone_inverse,
     det,
@@ -165,6 +166,32 @@ def test_primitive_direction_matches_fraction_route(v):
     assert got == expected
     assert all(type(a) is int for a in got)
     assert primitive_direction(tuple(v)) == expected
+
+
+def _combination_cases(n):
+    # (s, v, t, w) with v and w either free or multiples a x, b x of one x,
+    # so that s v - t w = (s a - t b) x is zero now and then
+    vec = st.lists(int_entries, min_size=n, max_size=n)
+    small = st.integers(min_value=-3, max_value=3)
+    parallel = st.tuples(small, small, vec).map(
+        lambda abx: ([abx[0] * y for y in abx[2]], [abx[1] * y for y in abx[2]]))
+    return st.tuples(small | int_entries, st.tuples(vec, vec) | parallel, small | int_entries)
+
+
+@given(st.integers(min_value=0, max_value=6).flatmap(_combination_cases))
+@example((2, ([1, -2], [2, -4]), 1))
+@example((0, ([5], [3]), 0))
+@settings(max_examples=300, deadline=None)
+def test_combination_is_the_primitive_vector_on_s_v_minus_t_w(case):
+    # the one combination step of the echelon form and the DD loop: None
+    # exactly on a zero s v - t w, else that vector made primitive
+    s, (v, w), t = case
+    u = [s * x - t * y for x, y in zip(v, w)]
+    got = _combination(s, v, t, w)
+    if any(u):
+        assert got == primitive_direction(u)
+    else:
+        assert got is None
 
 
 square_systems = st.integers(min_value=1, max_value=4).flatmap(

@@ -431,7 +431,8 @@ def test_one_ps_class_takes_its_sector_from_the_list():
                 assert cls.sector is sectors[cls.sector_index]
                 twisted += 1
         for j, sector in enumerate(sectors):
-            assert one_ps_class(fan, sectors, spaces, sector.as_n_element()).sector is sectors[j]
+            b = NElement(sector.rig, sector.torsion)
+            assert one_ps_class(fan, sectors, spaces, b).sector is sectors[j]
     assert twisted > 0
 
 
@@ -541,7 +542,7 @@ def test_one_ps_class_of_eta_lift_equals_xi():
             assert tuple(Fraction(x) for x in cls.class_vector) == \
                 tuple(Fraction(x) for x in xi.xi[i]), (fan.name, i)
         for j, sector in enumerate(sectors):
-            cls = one_ps_class(fan, sectors, spaces, sector.as_n_element())
+            cls = one_ps_class(fan, sectors, spaces, NElement(sector.rig, sector.torsion))
             assert tuple(Fraction(x) for x in cls.class_vector) == \
                 tuple(Fraction(x) for x in xi.xi[spaces.n + j]), (fan.name, j)
 
