@@ -67,102 +67,78 @@ def _halfspace_description(dim: int, constraints: Sequence[IntVec]
     Returns (lineality basis, extreme rays modulo the lineality), both in
     canonical form.  Incremental double description: the description starts
     as the whole space (lineality = standard basis, no rays) and each
-    constraint is inserted in turn.  While the lineality meets a constraint
-    non-trivially the insertion trades one lineality vector for a ray;
-    afterwards the usual ray splitting with a combinatorial adjacency test
-    applies.  Each ray carries a bitmask over already-inserted constraints
-    recording which are tight at it.  Every new vector (a lineality trade,
-    a ray update, the ray of an adjacent pair) is some s v - t w of primitive
-    integer vectors, made primitive by one gcd (linalg._combination).
+    constraint takes one pass.  While the lineality meets a constraint
+    non-trivially the pass trades one lineality vector v0 for a ray; after
+    that it splits the rays with a combinatorial adjacency test.  Each ray
+    carries a bitmask of the inserted constraints tight at it.  Every new
+    vector is some s v - t w of primitive integer vectors, made primitive by
+    one gcd (linalg._combination).
 
-    The loop's final lineality vectors span the kernel of the constraints,
-    and the kernel's canonical basis is read off them with the one
-    fraction-free elimination, ``linalg._echelon``, that also gives
-    ``linalg.kernel_basis`` (which runs it on the constraints instead, with
-    the same result).  That basis has one vector per free column j,
-    with its last nonzero at j and zeros at the other free columns, so it
-    is the reduced echelon form taken from the last column backwards, each
-    row primitive with first nonzero coordinate positive, sorted.  With no
-    constraints it is the standard basis in index order.  Each ray is then
-    reduced modulo the lineality (see _reduce_mod_lineality).  Raises
-    EnumerationLimitError past DD_CONSTRAINT_LIMIT distinct constraints.
+    No step deduplicates: after each constraint the ray list holds exactly
+    the extreme rays modulo the lineality, one primitive vector each.  A
+    trade maps the old rays one-to-one onto the constraint's hyperplane and
+    adds v0 off it; a split adds one ray per adjacent pair, and on a pointed
+    cone the combinatorial test is exact, so distinct edges give distinct
+    rays; reduction modulo the final lineality is one-to-one on rays outside it.
+
+    The final lineality vectors span the kernel of the constraints, whose
+    canonical basis ``linalg._echelon`` reads off them (``kernel_basis`` runs
+    it on the constraints, with the same result): one vector per free column
+    j, last nonzero at j and zero at the other free columns, primitive with
+    first nonzero coordinate positive, sorted.  With no constraints it is the
+    standard basis in index order.  Each ray is then reduced modulo the
+    lineality (see _reduce_mod_lineality).  Raises EnumerationLimitError past
+    DD_CONSTRAINT_LIMIT distinct constraints.
     """
     constraints = sorted(set(constraints))
     if len(constraints) > DD_CONSTRAINT_LIMIT:
         raise EnumerationLimitError(
             f"cone too large to dualize: {len(constraints)} distinct constraints "
             f"(limit {DD_CONSTRAINT_LIMIT})")
-    if dim == 0:
-        return (), ()
     lin: list[IntVec] = [unit_vector(dim, i) for i in range(dim)]
     if not constraints:
         return tuple(lin), ()
     mul = operator.mul
     rays: list[tuple[IntVec, int]] = []
-    nproc = 0
-    for a in constraints:
-        bit = 1 << nproc
-        all_prev = bit - 1
+    for k, a in enumerate(constraints):
+        bit = 1 << k
         svals = [sum(map(mul, a, v)) for v in lin]
         hit = next((i for i, s in enumerate(svals) if s != 0), None)
         if hit is not None:
             v0 = lin[hit] if svals[hit] > 0 else vneg(lin[hit])
             s0 = abs(svals[hit])
-            new_lin = []
-            for i, (v, s) in enumerate(zip(lin, svals)):
-                if i == hit:
-                    continue
-                if s == 0:
-                    new_lin.append(v)
-                else:
-                    new_lin.append(_combination(s0, v, s, v0))
-            new_rays = []
-            for r, mask in rays:
-                s = sum(map(mul, a, r))
-                if s != 0:
-                    r = _combination(s0, r, s, v0)
-                new_rays.append((r, mask | bit))
-            new_rays.append((v0, all_prev))
-            lin = new_lin
-            rays = new_rays
-        else:
-            pos, zer, neg = [], [], []
-            for r, mask in rays:
-                s = sum(map(mul, a, r))
-                if s > 0:
-                    pos.append((r, mask, s))
-                elif s < 0:
-                    neg.append((r, mask, s))
-                else:
-                    zer.append((r, mask | bit))
-            if neg:
-                new_rays = [(r, mask) for r, mask, _ in pos] + zer
-                need = dim - len(lin) - 2
-                masks_all = [mask for _, mask in rays]
-                for p, mp, sp in pos:
-                    for m, mm, sm in neg:
-                        z = mp & mm
-                        if z.bit_count() < need:
-                            continue
-                        # adjacency: no third extreme ray is tight on
-                        # every constraint tight at both p and m
-                        if any(om & z == z and om != mp and om != mm
-                               for om in masks_all):
-                            continue
-                        new_rays.append((_combination(sp, m, sm, p), z | bit))
-                dedup: dict[IntVec, int] = {}
-                for r, mask in new_rays:
-                    if r not in dedup:
-                        dedup[r] = mask
-                rays = list(dedup.items())
+            lin = [_combination(s0, w, s, v0) if s else w
+                   for i, (w, s) in enumerate(zip(lin, svals)) if i != hit]
+            rays = [(_combination(s0, r, s, v0) if (s := sum(map(mul, a, r))) else r,
+                     mask | bit) for r, mask in rays]
+            rays.append((v0, bit - 1))
+            continue
+        pos, neg, kept = [], [], []
+        for r, mask in rays:
+            s = sum(map(mul, a, r))
+            if s > 0:
+                pos.append((r, mask, s))
+                kept.append((r, mask))
+            elif s < 0:
+                neg.append((r, mask, s))
             else:
-                rays = [(r, mask) for r, mask, _ in pos] + zer
-        nproc += 1
-    lin_canonical = tuple(sorted([
-        canonical_line_direction(row)
-        for _, row in _echelon(lin, range(dim - 1, -1, -1))]))
-    ray_vectors = _reduce_mod_lineality([r for r, _ in rays], lin_canonical)
-    return lin_canonical, tuple(sorted(set(ray_vectors)))
+                kept.append((r, mask | bit))
+        need = dim - len(lin) - 2
+        masks_all = [mask for _, mask in rays]
+        for p, mp, sp in pos:
+            for m, mm, sm in neg:
+                z = mp & mm
+                if z.bit_count() < need:
+                    continue
+                # adjacency: no third ray is tight wherever both p and m are
+                if any(om & z == z and om != mp and om != mm
+                       for om in masks_all):
+                    continue
+                kept.append((_combination(sp, m, sm, p), z | bit))
+        rays = kept
+    basis = tuple(sorted([canonical_line_direction(row)
+                          for _, row in _echelon(lin, range(dim - 1, -1, -1))]))
+    return basis, tuple(sorted(_reduce_mod_lineality([r for r, _ in rays], basis)))
 
 
 def _reduce_mod_lineality(rays: Sequence[IntVec],

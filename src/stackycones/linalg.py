@@ -197,8 +197,8 @@ def kernel_basis(rows: Sequence[Sequence[Number]], ncols: Optional[int] = None) 
     Each basis vector is scaled to a primitive integer vector whose first
     nonzero coordinate is positive; the basis is sorted lexicographically.
     There is one vector per free column j of the echelon form: it is
-    nonzero at j and zero at every other free column.  ``ncols`` must be
-    given for a matrix with no rows.
+    nonzero at j and zero at every other free column.  A matrix with no
+    rows needs ``ncols`` and gives the standard basis in index order.
     """
     if not rows:
         if ncols is None:

@@ -293,7 +293,8 @@ def fraction_rref(rows):
 def fraction_kernel_basis(rows, ncols):
     """The canonical kernel basis of linalg.kernel_basis, read off
     fraction_rref: one vector per free column, primitive with first
-    nonzero coordinate positive, sorted."""
+    nonzero coordinate positive, sorted; with no rows, the standard basis
+    in index order."""
     if not rows:
         return tuple(linalg.unit_vector(ncols, i) for i in range(ncols))
     reduced, pivots = fraction_rref(rows)

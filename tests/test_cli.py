@@ -129,6 +129,9 @@ def test_class_of_1ps_bad_b_exit_64(capsys):
         assert code == 64, b
         assert out == ""
         assert capsys.readouterr().err.startswith("error: "), b
+    code, out = run_cli("class-of-1ps", str(fixture_path("gerby-p1")), "--b=1;0;0")
+    assert (code, out) == (64, "")
+    assert capsys.readouterr().err == "error: expected at most one ';' in --b\n"
 
 
 def test_class_of_1ps_torsion_part():

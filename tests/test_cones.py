@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -55,6 +56,18 @@ def test_contains_examples():
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError):
         Cone(2, [(1, 0)]).contains((1, 0, 0))
+
+
+def test_cone_guards():
+    with pytest.raises(ValueError, match="non-negative"):
+        Cone(-1)
+    c = Cone(2, [(2, 0)])
+    with pytest.raises(AttributeError, match="Cone is immutable"):
+        c.generators = ()
+    assert repr(c) == "Cone(dim=2, generators=[(1, 0)])"
+    assert not Cone(1, [(1,)]).equals(Cone(2))
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        intersect(Cone(1), Cone(2))
 
 
 def test_generators_are_primitivized_and_deduped():
@@ -237,9 +250,44 @@ def test_halfspace_description_matches_fraction_oracle(system):
         lineality, rays = cones._halfspace_description(dim, rows)
     expected = fraction_kernel_basis(sorted(set(rows)), dim)
     assert lineality == expected
+    assert len(set(raw)) == len(raw)  # the loop keeps each extreme ray once
     assert rays == tuple(sorted(set(_fraction_reduce_mod_lineality(raw, expected))))
     for r in rays:
         assert all(dot(a, r) >= 0 for a in rows)
+
+
+@st.composite
+def pointed_systems(draw):
+    """(dim, rows): dim 1-4, up to 8 distinct integer rows of rank dim, so
+    the cone {x : <a, x> >= 0} has no lineality."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim),
+                         min_size=dim, max_size=8, unique=True))
+    assume(len(fraction_rref(rows)[1]) == dim)
+    return dim, rows
+
+
+@given(pointed_systems())
+@example((1, [(1,), (-1,)]))
+@example((2, [(2, 0), (1, 0), (0, 1)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]))
+# the zero row is tight at every ray, so non-adjacent pairs pass the tight
+# count and only the adjacency test keeps them from adding rays
+@example((4, [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0),
+              (0, 2, 0, 0), (1, 0, 0, 0)]))
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+def test_pointed_halfspace_description_matches_brute_force(system):
+    # an extreme ray of a pointed cone in dim d is a line cut out by d - 1 of
+    # its rows, on the side where every row is >= 0: the Fraction kernel of
+    # every (d - 1)-subset, an elimination the DD engine does not use
+    dim, rows = system
+    brute = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        kernel = fraction_kernel_basis(list(subset), dim)
+        if len(kernel) == 1:
+            brute.update(v for v in (kernel[0], linalg.vneg(kernel[0]))
+                         if all(dot(a, v) >= 0 for a in rows))
+    assert cones._halfspace_description(dim, rows) == ((), tuple(sorted(brute)))
 
 
 @st.composite

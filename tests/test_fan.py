@@ -159,6 +159,10 @@ def test_structural_errors_are_hard():
         StackyFan(AbelianGroupSpec(1, (2,)), (NElement((1,), ()),), ((0,),))
     with pytest.raises(FanStructureError):
         AbelianGroupSpec(1, (1,))
+    with pytest.raises(FanStructureError, match="free part has length 1, expected 2"):
+        StackyFan(AbelianGroupSpec(2), (NElement((1,)),), ())
+    with pytest.raises(FanStructureError, match="expected 1 residues, got 2"):
+        AbelianGroupSpec(1, (2,)).reduce_torsion((1, 1))
 
 
 def test_ray_data_football():

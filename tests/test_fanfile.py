@@ -87,6 +87,8 @@ def test_name_must_be_a_string(tmp_path, capsys, name):
     {"rank": 1, "torsion": [2],
      "rays": [{"beta_free": [1], "beta_torsion": [0, 0]}], "max_cones": [[0]]},
     [],                                                   # not an object
+    {"rank": 1, "rays": [{"beta_free": [1]}, {"beta_free": [-1]}],
+     "max_cones": [[0], [1, "x"]]},                      # a ray index not an int
 ])
 def test_malformed_documents(doc):
     with pytest.raises(FanFileError):

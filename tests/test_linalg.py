@@ -56,6 +56,8 @@ def test_kernel_basis_sum_form():
 
 def test_kernel_of_no_rows_is_standard_basis():
     assert kernel_basis((), ncols=2) == ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="explicit column count"):
+        kernel_basis(())
 
 
 def test_det_examples():
@@ -82,6 +84,13 @@ def test_rank_examples():
 def test_primitive_direction_rational():
     assert primitive_direction((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
     assert canonical_line_direction((0, Fraction(-1, 3))) == (0, 1)
+    with pytest.raises(ValueError, match="zero vector"):
+        canonical_line_direction((0, 0))
+
+
+def test_dot_length_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dot((1,), (1, 2))
 
 
 # zeros are drawn often so that pivot searches have to swap rows

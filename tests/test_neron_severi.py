@@ -93,6 +93,8 @@ def test_ray_divisor_classes_football():
     assert stacky0 == (1, 0)
     assert coarse1 == (1, 0)
     assert stacky1 == (Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        ray_divisor_classes(spaces, spaces.n)
 
 
 def test_coarse_class_is_multiple_of_stacky_class():
