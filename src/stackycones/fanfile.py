@@ -26,6 +26,13 @@ from typing import Union
 from .fan import AbelianGroupSpec, FanStructureError, NElement, StackyFan
 
 
+# load_fan reads at most this many bytes of a fan file and refuses a longer
+# one, so a file like /dev/zero cannot fill the memory: the largest fixture
+# has 315, a polygon fan of 500 rays (CLASS_SPACE_LIMIT) about 30 k and
+# P^1^14 (16,384 cones), written compactly, about 870 k
+FAN_FILE_LIMIT = 2 ** 20
+
+
 class FanFileError(ValueError):
     """The document is not a structurally well-formed fan file."""
 
@@ -96,7 +103,11 @@ def fan_to_dict(fan: StackyFan) -> dict:
 
 def load_fan(path: Union[str, Path]) -> StackyFan:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            data = file.read(FAN_FILE_LIMIT + 1)
+        if len(data) > FAN_FILE_LIMIT:
+            raise FanFileError(f"cannot read {path}: longer than {FAN_FILE_LIMIT} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise FanFileError(f"cannot read {path}: {err}") from None
     try:

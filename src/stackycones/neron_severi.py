@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from .boxes import BoxElement, EnumerationLimitError
-from .fan import StackyFan, ray_data
+from .fan import FanStructureError, StackyFan
 from .linalg import (
     IntVec,
     Matrix,
@@ -44,7 +45,8 @@ class AmbientSpaces:
     transpose and beta'_orb pads it with zero sector columns, so neither is
     stored.  The curve basis of N_1,orb = ker beta'_orb (the kernel padded
     with zero sector coordinates, then the sector unit vectors) is built on
-    first read: only ``ns`` prints it.
+    first read: only ``ns`` prints it.  So are the display labels of the
+    combined index (eta_labels), which only printed output reads.
     """
 
     n: int
@@ -53,7 +55,10 @@ class AmbientSpaces:
     beta_prime: Matrix
     ker_beta_prime: tuple[IntVec, ...]
     ray_cs: tuple[int, ...]
-    labels: tuple[str, ...]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return eta_labels(self.n, self.t)
 
     @cached_property
     def curve_basis(self) -> tuple[IntVec, ...]:
@@ -93,8 +98,13 @@ def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces
         raise EnumerationLimitError(
             f"fan '{fan.name}' is too large for the class spaces: n + t = "
             f"{n + t} ray and sector coordinates (limit {CLASS_SPACE_LIMIT})")
-    rd = ray_data(fan)
-    beta_prime = tuple([tuple([r.w[j] for r in rd]) for j in range(d)])
+    # each ray's free part is c_rho w_rho with w_rho primitive: c_rho is its gcd
+    frees = [ray.free for ray in fan.rays]
+    cs = tuple([gcd(*free) for free in frees])
+    if 0 in cs:
+        raise FanStructureError(f"ray {cs.index(0)} has zero free part (degenerate ray)")
+    ws = [[x // c for x in free] for free, c in zip(frees, cs)]
+    beta_prime = tuple([tuple([w[j] for w in ws]) for j in range(d)])
     ker = kernel_basis(beta_prime, ncols=n)
     if len(ker) > n - d:
         raise ValueError("beta' does not have full rank; the fan should not "
@@ -110,8 +120,7 @@ def build_spaces(fan: StackyFan, sectors: Sequence[BoxElement]) -> AmbientSpaces
         n=n, d=d, t=t,
         beta_prime=beta_prime,
         ker_beta_prime=ker,
-        ray_cs=tuple([r.c for r in rd]),
-        labels=eta_labels(n, t),
+        ray_cs=cs,
     )
 
 

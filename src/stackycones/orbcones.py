@@ -187,23 +187,30 @@ def one_ps_class(fan: StackyFan, sectors: Sequence[BoxElement],
     """Class vector sum_rho a_rho(b) bb_rho + v_{q(b)} together with its
     decomposition data (floor multiplicities per ray, sector via q).
 
-    One chart of a maximal cone containing b (boxes._locate) gives both a(b)
-    and q(b)'s box point.  A twisted q(b) is the element of ``sectors``
-    itself, found by sector_index; only the untwisted sector is built here."""
+    One chart of a maximal cone containing b (boxes._locate) gives b's chart
+    coordinates c, and one pass over them gives, per ray of that cone, the
+    residue c mod m (q(b)'s box point is B r / m), the floor multiplicity
+    c // m and the class entry a_rho(b) c_rho = c c_rho / m.  That entry is
+    the only Fraction built; the zero entries are int 0 and the sector entry
+    int 1, as in the rows of Xi.  A twisted q(b) is the element of
+    ``sectors`` itself, found by sector_index; only the untwisted sector is
+    built here."""
     b = b.reduced(fan.group)
     cone, c, m = _locate(fan, b.free)
-    _, rig = _box_point(fan, cone, c, m)
-    v = [Fraction(0)] * (spaces.n + spaces.t)
-    multiplicities = [0] * spaces.n
+    cs, n = spaces.ray_cs, spaces.n
+    v: list = [0] * (n + spaces.t)
+    multiplicities, r = [0] * n, []
     for i, x in zip(cone, c):
+        floor, residue = divmod(x, m)
+        r.append(residue)
         if x:
-            v[i] = Fraction(x * spaces.ray_cs[i], m)
-            multiplicities[i] = x // m
-    sector, j = BoxElement(rig, b.torsion, ()), None
+            v[i] = Fraction(x * cs[i], m)
+            multiplicities[i] = floor
+    sector, j = BoxElement(_box_point(fan, cone, r, m), b.torsion, ()), None
     if not sector.is_untwisted:
         j = sector_index(sectors, sector)
         sector = sectors[j]
-        v[spaces.n + j] = Fraction(1)
+        v[n + j] = 1
     return OnePSClass(b=b, class_vector=tuple(v), sector=sector,
                       ray_multiplicities=tuple(multiplicities), sector_index=j)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
@@ -14,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from stackycones import (AbelianGroupSpec, NElement, StackyFan, cli, cones, linalg,
-                         load_fan, orbcones)
-from stackycones.boxes import twisted_sectors
+from stackycones import (AbelianGroupSpec, NElement, StackyFan, boxes, cli, cones,
+                         linalg, load_fan, orbcones)
+from stackycones.boxes import BoxElement, twisted_sectors
 from stackycones.cones import Cone, intersect
 from stackycones.fan import CheckResult, ValidationReport, ray_data
 
@@ -318,6 +319,36 @@ def fraction_solve(rows, rhs):
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def dedupe_enumerate_box(fan: StackyFan) -> tuple[BoxElement, ...]:
+    """The box walk that computes every point each cone walks and keeps the
+    first cone's coefficients for each, by a dict over the points: an
+    oracle for boxes.enumerate_box's ownership rule, which computes a point
+    only in the first cone holding its support."""
+    kept: dict = {}
+    room, fractions = boxes._room(fan), boxes._Fractions()
+    for k, cone in enumerate(fan.max_cones):
+        m, elements = boxes._cone_group(fan, k, room)
+        room -= len(elements)
+        rows = tuple(zip(*[fan.rays[i].free for i in cone]))
+        points = [tuple(sum(map(mul, row, c)) // m for row in rows) for c in elements]
+        rays = boxes._ray_order(cone)
+        for point, c in zip(points, elements):
+            if point not in kept:
+                kept[point] = boxes._coeffs(rays, c, m, fractions)
+    torsion = tuple(fan.group.torsion_elements())
+    return tuple(BoxElement(rig, t, kept[rig]) for rig in sorted(kept) for t in torsion)
+
+
+def sectors_pool() -> list[StackyFan]:
+    """The 40 fixed beta-variants of the benchmark's sectors workload, from
+    perfbench/workloads.py, loaded by path (sys.path is untouched)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [variant for variant, _ in workloads.generate_sectors(REPO_ROOT, 1)]
 
 
 def coeffs_in_cone(fan: StackyFan, cone, y):

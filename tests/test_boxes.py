@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -18,10 +19,13 @@ from conftest import (
     all_fixture_fans,
     beta_variant,
     coeffs_in_cone,
+    dedupe_enumerate_box,
     fixture_fan,
     fraction_solve,
     polygon_fan,
+    product_fan,
     random_n_element,
+    sectors_pool,
     weighted_projective_fan,
 )
 
@@ -40,7 +44,7 @@ from stackycones.boxes import (
     twisted_sectors,
 )
 from stackycones.cli import main
-from stackycones.fan import AbelianGroupSpec, NElement, StackyFan
+from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
 from stackycones.fanfile import fan_to_dict
 from stackycones.linalg import det, mat_vec, unit_vector
 from stackycones.neron_severi import build_spaces
@@ -362,6 +366,55 @@ def test_coefficients_built_once_per_box_point(monkeypatch, fan):
     assert len(built) == len({b.rig for b in box})
 
 
+def _power(fan, k):
+    return functools.reduce(product_fan, [fan] * k)
+
+
+def _assert_walks_agree(fan):
+    box, oracle = enumerate_box(fan), dedupe_enumerate_box(fan)
+    assert box == oracle, fan.name
+    assert repr(box) == repr(oracle), fan.name
+    # twisted_sectors drops the untwisted element, found by bisection
+    assert twisted_sectors(fan) == tuple(e for e in oracle if not e.is_untwisted)
+
+
+@pytest.mark.parametrize("fan", [
+    *all_fixture_fans(), _power(fixture_fan("football"), 4),
+    _power(fixture_fan("football"), 6), weighted_projective_fan((2, 3, 5, 7, 11))],
+    ids=[*FIXTURE_NAMES, "football^4", "football^6", "P(1,2,3,5,7,11)"])
+def test_ownership_walk_matches_the_dict_walk(fan):
+    # each box point is computed only in the first cone holding its support;
+    # the walk that computes every walked point and keeps the first agrees
+    _assert_walks_agree(fan)
+
+
+def test_ownership_walk_matches_the_dict_walk_on_the_sectors_pool():
+    pool = sectors_pool()
+    assert len(pool) == 40
+    for fan in pool:
+        _assert_walks_agree(fan)
+
+
+# rays 2, 3 and -1 on the line, each its own cone: cones (0,) and (1,) overlap
+# and both walk the point 1, as 1/2 b_0 and as 1/3 b_1
+_OVERLAP_RAYS = (NElement((2,)), NElement((3,)), NElement((-1,)))
+
+
+@pytest.mark.parametrize("cones, coeffs", [
+    (((0,), (1,), (2,)), ((0, Fraction(1, 2)),)),
+    (((1,), (0,), (2,)), ((1, Fraction(1, 3)),)),
+], ids=["ray-2-first", "ray-3-first"])
+def test_first_cone_keeps_a_point_that_overlapping_cones_share(cones, coeffs):
+    fan = StackyFan(AbelianGroupSpec(1), _OVERLAP_RAYS, cones, name="overlap")
+    assert not validate(fan).ok
+    _assert_walks_agree(fan)
+    assert next(e.coeffs for e in enumerate_box(fan) if e.rig == (1,)) == coeffs
+    # in a product, the shared points lie on proper faces of the overlapping cones
+    prism = product_fan(fan, fixture_fan("p1"))
+    _assert_walks_agree(prism)
+    assert next(e.coeffs for e in enumerate_box(prism) if e.rig == (1, 0)) == coeffs
+
+
 @st.composite
 def _fans_with_points(draw):
     # a fixture beta-variant or a polygon/prism fan, with the origin, a ray,
@@ -472,8 +525,9 @@ def test_walk_guard_at_the_cyclic_cap(fan, k, order):
     with pytest.raises(boxes.EnumerationLimitError):
         boxes._cone_group(fan, k, order - 1)
     for room in (order, order + 1):
-        m, elements, points = boxes._cone_group(fan, k, room)
+        m, elements = boxes._cone_group(fan, k, room)
         assert len(elements) == order and set(elements) == group
+        points = boxes._box_points(fan, fan.max_cones[k], elements, m)
         assert sorted(points) == sorted(
             tuple(sum(map(operator.mul, row, c)) // m for row in zip(*[
                 fan.rays[i].free for i in fan.max_cones[k]])) for c in group)

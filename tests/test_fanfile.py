@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 from conftest import FIXTURE_NAMES, fixture_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackycones import fanfile
 from stackycones.cli import main
 from stackycones.fan import StackyFan
 from stackycones.fanfile import (
@@ -162,6 +164,38 @@ def test_invalid_json(tmp_path, capsys):
         assert main(["validate", str(path)]) == 64
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _refused(argv, capsys):
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_a_fan_file_past_the_length_limit_is_refused(tmp_path, monkeypatch, capsys):
+    # the limit counts bytes: "é" is one character in two bytes of UTF-8
+    data = fixture_path("p2").read_bytes().replace(b'"p2"', '"p2-é"'.encode())
+    path = tmp_path / "p2.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(fanfile, "FAN_FILE_LIMIT", len(data))
+    assert load_fan(path).name == "p2-é"
+    monkeypatch.setattr(fanfile, "FAN_FILE_LIMIT", len(data) - 1)
+    message = f"longer than {len(data) - 1} bytes"
+    with pytest.raises(FanFileError, match=message):
+        load_fan(path)
+    assert message in _refused(["validate", str(path)], capsys)
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+@pytest.mark.parametrize("limit", [1000, None], ids=["limit-1000", "default-limit"])
+def test_an_endless_file_is_refused(monkeypatch, capsys, limit):
+    # an unbounded read of /dev/zero would run until memory is exhausted
+    if limit is not None:
+        monkeypatch.setattr(fanfile, "FAN_FILE_LIMIT", limit)
+    with pytest.raises(FanFileError, match="longer than"):
+        load_fan("/dev/zero")
+    assert "longer than" in _refused(["validate", "/dev/zero"], capsys)
 
 
 def test_fan_to_dict_shape():

@@ -1,9 +1,11 @@
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 from conftest import (
+    FIXTURE_NAMES,
     _count_calls,
     all_fixture_fans,
     beta_variant,
@@ -15,9 +17,11 @@ from conftest import (
 
 from stackycones import AbelianGroupSpec, NElement, StackyFan, linalg, neron_severi
 from stackycones.boxes import twisted_sectors
+from stackycones.fan import FanStructureError
 from stackycones.linalg import dot, rank, unit_vector
 from stackycones.neron_severi import (
     build_spaces,
+    eta_labels,
     lambda_orb,
     ray_divisor_classes,
 )
@@ -233,3 +237,30 @@ def test_curve_basis_is_the_padded_kernel_then_the_sector_units():
         beta_prime_orb = [row + (0,) * t for row in spaces.beta_prime]
         assert sorted(spaces.curve_basis) == list(fraction_kernel_basis(beta_prime_orb, n + t))
         assert spaces.curve_basis is spaces.curve_basis
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_labels_are_built_on_first_read(name):
+    # only printed output reads the labels, so build_spaces leaves them out
+    _, sectors, spaces = _spaces(name)
+    assert "labels" not in vars(spaces)
+    assert spaces.labels == eta_labels(spaces.n, len(sectors))
+    assert "labels" in vars(spaces)
+    assert spaces.labels is spaces.labels
+
+
+def test_build_spaces_reads_w_and_c_off_the_rays():
+    # beta' has the primitive w_rho as columns, and c_rho is the gcd of b_rho
+    rng = random.Random(30)
+    for fan in [beta_variant(fixture_fan(name), rng) for name in FIXTURE_NAMES]:
+        spaces = build_spaces(fan, twisted_sectors(fan))
+        for rho, (ray, c) in enumerate(zip(fan.rays, spaces.ray_cs)):
+            w = tuple(row[rho] for row in spaces.beta_prime)
+            assert c >= 1 and tuple(c * x for x in w) == ray.free
+            assert math.gcd(*w) == 1
+
+
+def test_build_spaces_rejects_a_zero_ray():
+    fan = StackyFan(AbelianGroupSpec(1), (NElement((1,)), NElement((0,))), ((0,), (1,)))
+    with pytest.raises(FanStructureError, match="ray 1 has zero free part"):
+        build_spaces(fan, ())

@@ -27,7 +27,13 @@ from conftest import (
 )
 
 from stackycones import linalg, orbcones
-from stackycones.boxes import BoxElement, enumerate_box, q_reduce, twisted_sectors
+from stackycones.boxes import (
+    BoxElement,
+    enumerate_box,
+    minimal_cone_coeffs,
+    q_reduce,
+    twisted_sectors,
+)
 from stackycones.cones import Cone
 from stackycones.fan import AbelianGroupSpec, NElement, StackyFan, validate
 from stackycones.fanfile import fan_from_dict
@@ -434,6 +440,43 @@ def test_one_ps_class_takes_its_sector_from_the_list():
             b = NElement(sector.rig, sector.torsion)
             assert one_ps_class(fan, sectors, spaces, b).sector is sectors[j]
     assert twisted > 0
+
+
+@st.composite
+def _fans_with_elements(draw):
+    # a fixture beta-variant with a batch of elements b of N; torsion
+    # residues are drawn past their orders, which one_ps_class reduces
+    fan = beta_variant(fixture_fan(draw(st.sampled_from(FIXTURE_NAMES))),
+                       draw(st.randoms(use_true_random=False)))
+    elements = draw(st.lists(st.builds(
+        NElement, st.tuples(*[st.integers(-20, 20)] * fan.dim),
+        st.tuples(*[st.integers(0, 2 * l) for l in fan.group.torsion_orders])),
+        min_size=1, max_size=6))
+    return fan, elements
+
+
+@given(_fans_with_elements())
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+def test_one_ps_class_matches_the_q_and_coefficient_oracle(fan_elements):
+    # the class vector is a_rho(b) c_rho on the rays of b's minimal cone,
+    # each a Fraction, int 1 at q(b)'s sector if twisted and int 0 elsewhere;
+    # the multiplicities are floor(a_rho(b)) and the sector is q(b)
+    fan, elements = fan_elements
+    sectors, spaces, _ = _pipeline(fan)
+    n = fan.n_rays
+    for b in elements:
+        cls = one_ps_class(fan, sectors, spaces, b)
+        q = q_reduce(fan, b)
+        a = dict(minimal_cone_coeffs(fan, b.free))
+        j = None if q.is_untwisted else sectors.index(q)
+        expected = [a[i] * math.gcd(*fan.rays[i].free) if i in a else 0 for i in range(n)]
+        expected += [int(k == j) for k in range(len(sectors))]
+        assert cls.class_vector == tuple(expected)
+        assert [type(x) for x in cls.class_vector] == [
+            Fraction if k in a else int for k in range(n + len(sectors))]
+        assert cls.ray_multiplicities == tuple(math.floor(a.get(i, 0)) for i in range(n))
+        assert cls.sector == q and cls.sector_index == j
+        assert cls.b == NElement(b.free, fan.group.reduce_torsion(b.torsion))
 
 
 def test_one_ps_class_raises_on_a_sector_list_without_q():
