@@ -14,18 +14,19 @@ orbifold Chow ring of toric Deligne-Mumford stacks", 2005); a point and
 its coefficients are built only in the first cone holding its support.
 The canonical ordering (rig part lexicographic, then torsion
 lexicographic) is the index order of every downstream coordinate system.
+BoxElement is a ``typing.NamedTuple``, by the record rule in
+:mod:`stackycones.fan`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import gcd, prod
 from operator import and_, attrgetter, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cones import EnumerationLimitError
 from .fan import NElement, StackyFan
@@ -46,8 +47,7 @@ class IncompleteFanError(RuntimeError):
 Coeffs = tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class BoxElement:
+class BoxElement(NamedTuple):
     """One sector: a box lattice point with its coefficients, plus a torsion
     component.  (0, 0) is the untwisted sector."""
 

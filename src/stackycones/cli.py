@@ -15,7 +15,9 @@ takes the validation report, every other command the ``Analysis`` of a
 valid fan (and ``class-of-1ps`` the parsed ``--b``), then whether JSON was
 asked for, and each returns its exit code and only the form that gets
 printed: the document body or the text lines.  ``_emit`` adds the fan's
-name to it.
+name to it.  Only ``xi``, ``mov``, ``peff``, ``verify`` and ``class-of-1ps``
+load :mod:`stackycones.orbcones`: through ``Analysis``'s Xi stages, or by
+the import inside ``cmd_verify`` and ``cmd_class_of_1ps``.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import os
 import sys
 from typing import Optional, Sequence, Union
 
+from .analysis import Analysis
 from .boxes import EnumerationLimitError, enumerate_box
 from .fan import NElement, StackyFan, ValidationReport, validate
 from .fan import ray_data as fan_ray_data
 from .fanfile import FanFileError, fraction_json, load_fan
 from .neron_severi import eta_labels, ray_divisor_classes
-from .orbcones import Analysis, one_ps_class, verify_duality
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -226,7 +228,8 @@ def cmd_peff(analysis: Analysis, as_json: bool) -> Rendered:
 
 
 def cmd_verify(analysis: Analysis, as_json: bool) -> Rendered:
-    # called by its module-level name, so a wrapper of verify_duality sees it
+    # read from orbcones at call time, so a wrapper of verify_duality sees it
+    from .orbcones import verify_duality
     report = verify_duality(analysis.fan)
     code = EXIT_OK if report.equal else EXIT_MISMATCH
     if as_json:
@@ -282,6 +285,7 @@ def _parse_b(text: str, fan: StackyFan) -> NElement:
 
 
 def cmd_class_of_1ps(analysis: Analysis, b: NElement, as_json: bool) -> Rendered:
+    from .orbcones import one_ps_class
     spaces = analysis.spaces
     cls = one_ps_class(analysis.fan, analysis.sectors, spaces, b)
     sec_idx = cls.sector_index

@@ -5,16 +5,29 @@ maximal cones' charts (built once, read by every stage), plus validation.
 Rays are identified with their beta images: the geometric ray of index rho
 is the half-line spanned by the free part of beta(v_rho), so the condition
 "beta(v_rho) lies on rho" holds by construction.
+
+The records here, in boxes and in neron_severi are named tuples, not
+dataclasses, so that the CLI starts without ``dataclasses``: importing it
+loads ``inspect`` (and ``ast``, ``dis``, ``tokenize``), and each
+``@dataclass`` generates its methods at import.  A record with no invariant
+is a ``typing.NamedTuple``; one that normalises or checks its fields
+(AbelianGroupSpec, NElement, StackyFan) subclasses a
+``collections.namedtuple`` and does so in ``__new__``.  A record that caches
+a stage (StackyFan, AmbientSpaces) declares no ``__slots__``, so
+``cached_property`` has an instance dict.  They keep the dataclasses' repr,
+value equality and hash, and a field cannot be assigned; as tuples they
+also equal a plain tuple of their fields, and ``_make``/``_replace`` skip
+``__new__``.  orbcones keeps three dataclasses (see there).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import comb, gcd
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .cones import _dual_generators
@@ -31,18 +44,17 @@ class FanStructureError(ValueError):
     semantic fan defects are reported through ValidationReport instead."""
 
 
-@dataclass(frozen=True)
-class AbelianGroupSpec:
+class AbelianGroupSpec(namedtuple("AbelianGroupSpec", "rank torsion_orders")):
     """The group N = Z^rank x prod Z/l_i with its fixed decomposition."""
 
-    rank: int
-    torsion_orders: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank: int, torsion_orders: tuple[int, ...] = ()):
+        if rank < 0:
             raise FanStructureError("rank must be non-negative")
-        if any(l < 2 for l in self.torsion_orders):
+        if any(l < 2 for l in torsion_orders):
             raise FanStructureError("torsion orders must be >= 2")
+        return tuple.__new__(cls, (rank, torsion_orders))
 
     @property
     def torsion_rank(self) -> int:
@@ -56,27 +68,23 @@ class AbelianGroupSpec:
         if len(residues) != self.torsion_rank:
             raise FanStructureError(
                 f"expected {self.torsion_rank} residues, got {len(residues)}")
-        return tuple(r % l for r, l in zip(residues, self.torsion_orders))
+        return tuple([r % l for r, l in zip(residues, self.torsion_orders)])
 
 
-@dataclass(frozen=True)
-class NElement:
+class NElement(namedtuple("NElement", "free torsion")):
     """An element of N, split into free and torsion coordinates."""
 
-    free: tuple[int, ...]
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", tuple(self.free))
-        object.__setattr__(self, "torsion", tuple(self.torsion))
+    def __new__(cls, free: Sequence[int], torsion: Sequence[int] = ()):
+        return tuple.__new__(cls, (tuple(free), tuple(torsion)))
 
     def reduced(self, group: AbelianGroupSpec) -> "NElement":
         torsion = group.reduce_torsion(self.torsion)
         return self if torsion == self.torsion else NElement(self.free, torsion)
 
 
-@dataclass(frozen=True)
-class RayData:
+class RayData(NamedTuple):
     """Derived data of one ray: b = c * w with w primitive."""
 
     index: int
@@ -86,21 +94,17 @@ class RayData:
     torsion: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(namedtuple("StackyFan", "group rays max_cones name")):
     """A stacky fan: the group spec, beta(v_rho) per ray, and the maximal
-    cones of the simplicial fan as sets of ray indices."""
+    cones of the simplicial fan as sets of ray indices.  No __slots__: the
+    instance dict holds the cached charts."""
 
-    group: AbelianGroupSpec
-    rays: tuple[NElement, ...]
-    max_cones: tuple[tuple[int, ...], ...]
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(self.rays))
-        object.__setattr__(self, "max_cones",
-                           tuple(tuple(c) for c in self.max_cones))
+    def __new__(cls, group: AbelianGroupSpec, rays: Sequence[NElement],
+                max_cones: Sequence[Sequence[int]], name: str = ""):
+        self = tuple.__new__(cls, (group, tuple(rays),
+                                   tuple([tuple(c) for c in max_cones]), name))
         self._check_structure()
+        return self
 
     def _check_structure(self) -> None:
         d, s = self.group.rank, self.group.torsion_rank
@@ -150,15 +154,13 @@ def ray_data(fan: StackyFan) -> tuple[RayData, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     fan_name: str
     checks: tuple[CheckResult, ...]
 

@@ -37,7 +37,8 @@ class FanFileError(ValueError):
     """The document is not a structurally well-formed fan file."""
 
 
-def fan_from_dict(doc: dict) -> StackyFan:
+def fan_from_dict(doc: dict, default_name: str = "") -> StackyFan:
+    """The fan a document describes, named default_name if it has no name."""
     if not isinstance(doc, dict):
         raise FanFileError("fan file must contain a JSON object")
     try:
@@ -80,7 +81,7 @@ def fan_from_dict(doc: dict) -> StackyFan:
         cones.append(tuple(c))
     try:
         return StackyFan(group=group, rays=tuple(rays), max_cones=tuple(cones),
-                         name=name)
+                         name=name or default_name)
     except FanStructureError as err:
         raise FanFileError(str(err)) from None
 
@@ -114,10 +115,7 @@ def load_fan(path: Union[str, Path]) -> StackyFan:
         doc = json.loads(text)
     except (ValueError, RecursionError) as err:
         raise FanFileError(f"{path} is not valid JSON: {err}") from None
-    fan = fan_from_dict(doc)
-    if not fan.name:
-        fan = StackyFan(fan.group, fan.rays, fan.max_cones, name=Path(path).stem)
-    return fan
+    return fan_from_dict(doc, Path(path).stem)
 
 
 def fraction_json(value) -> dict:

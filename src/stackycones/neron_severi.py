@@ -18,7 +18,7 @@ Coordinate contract (global, shared with the CLI and every other module):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -28,7 +28,6 @@ from .boxes import BoxElement, EnumerationLimitError
 from .fan import FanStructureError, StackyFan
 from .linalg import (
     IntVec,
-    Matrix,
     Number,
     RatVec,
     dot,
@@ -37,8 +36,8 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class AmbientSpaces:
+class AmbientSpaces(namedtuple("AmbientSpaces",
+                               "n d t beta_prime ker_beta_prime ray_cs")):
     """Dimensions, beta' and the canonical basis of its kernel.
 
     beta_prime has the primitive ray vectors w_rho as columns; alpha is its
@@ -46,15 +45,12 @@ class AmbientSpaces:
     stored.  The curve basis of N_1,orb = ker beta'_orb (the kernel padded
     with zero sector coordinates, then the sector unit vectors) is built on
     first read: only ``ns`` prints it.  So are the display labels of the
-    combined index (eta_labels), which only printed output reads.
-    """
+    combined index (eta_labels), which only printed output reads.  No
+    __slots__: the instance dict holds both.
 
-    n: int
-    d: int
-    t: int
-    beta_prime: Matrix
-    ker_beta_prime: tuple[IntVec, ...]
-    ray_cs: tuple[int, ...]
+    Fields: n, d, t (int); beta_prime (Matrix); ker_beta_prime
+    (tuple[IntVec, ...]); ray_cs (tuple[int, ...]).
+    """
 
     @cached_property
     def labels(self) -> tuple[str, ...]:

@@ -37,9 +37,12 @@ biduality on each input; it is not an independent route.  Computing Mov by
 circuit enumeration (ROADMAP item 3, route B) would give one that shares no
 engine.
 
-Analysis(fan) holds that chain for one fan, fan -> twisted sectors ->
-class spaces -> Xi/Xi* -> restricted functionals -> the PEff cone, and
-builds each stage once, on first use.
+:class:`stackycones.analysis.Analysis` holds that chain for one fan and
+imports this module on its first Xi stage.  The records here stay frozen
+dataclasses, unlike those of fan, boxes and neron_severi (see fan's
+docstring): the benchmark's tests call ``dataclasses.replace`` on OnePSClass
+and VerificationReport, so this module imports ``dataclasses`` anyway, and
+XiSystem shares it.  Only the commands that build Xi load either.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ from itertools import compress
 from math import lcm
 from typing import Optional, Sequence
 
-from .boxes import BoxElement, _box_point, _locate, twisted_sectors
+from .analysis import Analysis
+from .boxes import BoxElement, _box_point, _locate
 from .cones import Cone
 from .fan import NElement, StackyFan
 # dot is not called here, but perfbench's tracer test reads orbcones.dot
 from .linalg import IntVec, RatVec, dot, unit_vector  # noqa: F401
-from .neron_severi import AmbientSpaces, build_spaces, lambda_orb
+from .neron_severi import AmbientSpaces, lambda_orb
 
 
 # One row of Xi or Xi*: a positive denominator and the (column, integer
@@ -240,39 +244,6 @@ def mov_cone(spaces: AmbientSpaces, xi: XiSystem) -> Cone:
     then dualized."""
     constraints = restricted_functionals(spaces, xi)
     return Cone(spaces.dim_ns_orb, constraints).dual()
-
-
-class Analysis:
-    """The pipeline of one stacky fan.  Each stage is built once, on first
-    use, and kept for the lifetime of this object.
-
-    ``peff`` is the cone on the restricted functionals: Mov_1,orb is
-    ``peff.dual()`` and the PEff_orb extremal rays are
-    ``peff.canonical_generators()``.  The fan must be valid.
-    """
-
-    def __init__(self, fan: StackyFan):
-        self.fan = fan
-
-    @cached_property
-    def sectors(self) -> tuple[BoxElement, ...]:
-        return twisted_sectors(self.fan)
-
-    @cached_property
-    def spaces(self) -> AmbientSpaces:
-        return build_spaces(self.fan, self.sectors)
-
-    @cached_property
-    def xi(self) -> XiSystem:
-        return build_xi(self.fan, self.sectors, self.spaces)  # raises unless Xi*.Xi = I
-
-    @cached_property
-    def functionals(self) -> tuple[RatVec, ...]:
-        return restricted_functionals(self.spaces, self.xi)
-
-    @cached_property
-    def peff(self) -> Cone:
-        return Cone(self.spaces.dim_ns_orb, self.functionals)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from stackycones import (AbelianGroupSpec, NElement, StackyFan, boxes, cli, cones,
-                         linalg, load_fan, orbcones)
+from stackycones import (AbelianGroupSpec, NElement, StackyFan, boxes, cones, linalg,
+                         load_fan, orbcones)
 from stackycones.boxes import BoxElement, twisted_sectors
 from stackycones.cones import Cone, intersect
 from stackycones.fan import CheckResult, ValidationReport, ray_data
@@ -242,7 +242,7 @@ def drop_last_dual_of_mov_ray(monkeypatch):
             runs = None
 
     monkeypatch.setattr(cones, "_halfspace_description", dd)
-    monkeypatch.setattr(cli, "verify_duality", verify)
+    monkeypatch.setattr(orbcones, "verify_duality", verify)
     return verify
 
 

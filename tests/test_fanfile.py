@@ -60,11 +60,18 @@ P1_DOC = {"rank": 1, "rays": [{"beta_free": [1]}, {"beta_free": [-1]}],
           "max_cones": [[0], [1]]}
 
 
-def test_name_defaults_to_file_stem(tmp_path):
+def test_name_defaults_to_file_stem(tmp_path, monkeypatch):
+    # the fan is built, and its structure checked, once
+    checked = []
+    check = StackyFan._check_structure
+    monkeypatch.setattr(StackyFan, "_check_structure",
+                        lambda fan: checked.append(fan.name) or check(fan))
     path = tmp_path / "my-fan.json"
     for doc in (P1_DOC, {"name": "", **P1_DOC}):   # missing or empty
         path.write_text(json.dumps(doc))
+        checked.clear()
         assert load_fan(path).name == "my-fan"
+        assert checked == ["my-fan"]
 
 
 @pytest.mark.parametrize("name", [None, ["a"], 7, True, {"x": 1}])

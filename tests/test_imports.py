@@ -4,8 +4,9 @@ imports, so a deletion cannot leave a dead import behind.  The package's
 is kept on purpose.  Every module-level private function or class is
 referenced somewhere in the package (of a test module: somewhere in the
 tests) outside its own body, so a deletion cannot leave a dead helper
-behind either.  And importing the CLI loads a pinned set of modules, so
-import creep fails here before it shows in a process's start-up time."""
+behind either.  And importing the CLI loads a pinned set of modules, none
+of them dataclasses, inspect or orbcones, so import creep fails here
+before it shows in a process's start-up time."""
 
 import ast
 import subprocess
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import GOLDEN_DIR, fixture_path
 
 import stackycones
 
@@ -174,23 +176,31 @@ def test_detects_a_caller_less_name():
 
 # the modules outside the package that its modules import at module level,
 # and the package's own modules, all of which the CLI loads
-STDLIB_IMPORTS = ("__future__", "argparse", "bisect", "dataclasses", "fractions",
-                  "functools", "itertools", "json", "math", "operator", "os",
-                  "pathlib", "sys", "typing")
-PACKAGE_MODULES = {"stackycones", "stackycones.boxes", "stackycones.cli",
-                   "stackycones.cones", "stackycones.fan", "stackycones.fanfile",
-                   "stackycones.linalg", "stackycones.neron_severi",
-                   "stackycones.orbcones"}
+STDLIB_IMPORTS = ("__future__", "argparse", "bisect", "collections", "fractions",
+                  "functools", "importlib", "itertools", "json", "math", "operator",
+                  "os", "pathlib", "sys", "typing")
+PACKAGE_MODULES = {"stackycones", "stackycones.analysis", "stackycones.boxes",
+                   "stackycones.cli", "stackycones.cones", "stackycones.fan",
+                   "stackycones.fanfile", "stackycones.linalg",
+                   "stackycones.neron_severi"}
+# what the Xi-free commands never load: dataclasses alone brings in inspect,
+# ast, dis and tokenize, and orbcones brings in dataclasses
+NOT_LOADED = {"dataclasses", "inspect", "stackycones.orbcones"}
+SRC = str(Path(stackycones.__file__).parent.parent)
+
+
+def _fresh_python(code: str) -> str:
+    # stdout of code run in a fresh interpreter: isolated, without site,
+    # writing no bytecode, with src on its path
+    return subprocess.run([sys.executable, "-I", "-S", "-B", "-c",
+                           f"import sys; sys.path.insert(0, {SRC!r}); {code}"],
+                          capture_output=True, text=True, check=True).stdout
 
 
 def modules_added_by(statement: str) -> set[str]:
-    """The modules that one import statement adds to a fresh interpreter:
-    isolated, without site, writing no bytecode, with src on its path."""
-    src = str(Path(stackycones.__file__).parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
-            f"{statement}; print(*sorted(set(sys.modules) - before))")
-    return set(subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
-                              capture_output=True, text=True, check=True).stdout.split())
+    """The modules that one import statement adds to a fresh interpreter."""
+    return set(_fresh_python(f"before = set(sys.modules); {statement}; "
+                             "print(*sorted(set(sys.modules) - before))").split())
 
 
 def test_cli_import_adds_only_the_pinned_modules():
@@ -199,3 +209,17 @@ def test_cli_import_adds_only_the_pinned_modules():
     added = modules_added_by("import stackycones.cli")
     assert {m for m in added if m.partition(".")[0] == "stackycones"} == PACKAGE_MODULES
     assert added - PACKAGE_MODULES == modules_added_by("import " + ", ".join(STDLIB_IMPORTS))
+    assert not added & NOT_LOADED
+
+
+def test_xi_loads_orbcones_on_first_use():
+    # a fresh process: the CLI comes up without orbcones, and the xi command
+    # loads it and prints the golden output
+    out = _fresh_python(
+        "from stackycones import cli; "
+        "print('stackycones.orbcones' in sys.modules); "
+        f"code = cli.main(['xi', {str(fixture_path('football'))!r}]); "
+        "print('stackycones.orbcones' in sys.modules, code)")
+    before, *printed, after = out.splitlines(keepends=True)
+    assert (before, after) == ("False\n", "True 0\n")
+    assert "".join(printed) == (GOLDEN_DIR / "football__xi.txt").read_text(encoding="utf-8")
